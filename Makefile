@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build test vet race lint lint-go fuzz-presence bench-witness bench-workers bench-static bench bench-scaling cache-smoke trace-smoke daemon-smoke audit-smoke follow-smoke obs-smoke eval
+.PHONY: check build test vet race lint lint-go fuzz bench-witness bench-workers bench-static bench bench-scaling cache-smoke trace-smoke daemon-smoke audit-smoke follow-smoke obs-smoke eval
 
-check: vet build test race lint lint-go cache-smoke trace-smoke daemon-smoke audit-smoke follow-smoke obs-smoke bench-scaling
+check: vet build test race lint lint-go fuzz cache-smoke trace-smoke daemon-smoke audit-smoke follow-smoke obs-smoke bench-scaling
 
 build:
 	$(GO) build ./...
@@ -45,9 +45,12 @@ lint-go:
 audit-smoke:
 	@GO="$(GO)" sh scripts/audit-smoke.sh
 
-# Short fuzz pass: malformed #if input must never panic the analysis.
-fuzz-presence:
-	$(GO) test ./internal/presence/ -run '^$$' -fuzz FuzzPresenceParse -fuzztime 20s
+# Short fuzz pass, 10 s per target: malformed #if input must never panic
+# the presence analysis, and a malformed makefile must never panic the
+# Kbuild walk or make Reachable disagree with FileGate.
+fuzz:
+	$(GO) test ./internal/presence/ -run '^$$' -fuzz FuzzPresenceParse -fuzztime 10s
+	$(GO) test ./internal/kbuild/ -run '^$$' -fuzz FuzzParseMakefile -fuzztime 10s
 
 bench-witness:
 	$(GO) test ./internal/core/ -run '^$$' -bench BenchmarkWitnessedIn -benchmem

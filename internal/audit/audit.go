@@ -190,14 +190,13 @@ func Run(p Params) (*Report, error) {
 	}
 	sort.Strings(files)
 	rep.Files = len(files)
-	mc := kbuild.NewMakefileCache(t)
 	hasRootMk := t.Exists("Makefile")
 	workers := p.Workers
 	if workers < 1 {
 		workers = 1
 	}
 	scans, _ := sched.Collect(len(files), sched.Options{Workers: workers}, func(i int) fileScan {
-		return scanFile(t, files[i], arches, declared, p.Ignore, mc, hasRootMk)
+		return scanFile(t, files[i], arches, declared, p.Ignore, hasRootMk)
 	})
 	for _, fs := range scans {
 		rep.Findings = append(rep.Findings, fs.findings...)

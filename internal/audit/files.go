@@ -46,7 +46,7 @@ type fileScan struct {
 // against the declared-symbol union, and each conditional block's presence
 // formula against every applicable architecture.
 func scanFile(t *fstree.Tree, path string, arches []*archCtx, declared, ignore map[string]bool,
-	mc *kbuild.MakefileCache, hasRootMk bool) fileScan {
+	hasRootMk bool) fileScan {
 	var fs fileScan
 	content, err := t.Read(path)
 	if err != nil {
@@ -138,7 +138,7 @@ func scanFile(t *fstree.Tree, path string, arches []*archCtx, declared, ignore m
 		for _, ac := range archList {
 			var gate *kbuild.Gate
 			if gated {
-				if g, err := mc.FileGate(path, ac.name); err == nil {
+				if g, err := kbuild.FileGate(t, path, ac.name); err == nil {
 					gate = &g
 				}
 			}

@@ -159,18 +159,7 @@ func isVarChar(c byte) bool {
 //
 // useDefconfigs disables the configs/ exploration (the .h fallback when
 // too many candidate .c files exist, §III-E).
-//
-// Warm sessions serve the answer from a session-scoped cache: the result
-// depends only on the file path, the arch index, the tree's Makefiles and
-// the options, all of which Session.Refresh invalidates on change.
 func (c *Checker) selectArches(file string, useDefconfigs bool) []ArchChoice {
-	if c.warm != nil {
-		return c.warm.selectArches(c, file, useDefconfigs)
-	}
-	return c.computeSelectArches(file, useDefconfigs)
-}
-
-func (c *Checker) computeSelectArches(file string, useDefconfigs bool) []ArchChoice {
 	file = fstree.Clean(file)
 	if strings.HasPrefix(file, "arch/") {
 		rest := strings.TrimPrefix(file, "arch/")

@@ -119,9 +119,8 @@ type RefreshSummary struct {
 	// ConfigsInvalidated lists architectures whose cached valuations were
 	// dropped individually (empty when KconfigReset dropped them all).
 	ConfigsInvalidated []string
-	// ChoicesDropped / StaticsDropped / SetupDropped count warm-cache
-	// entries invalidated (always zero for a non-warm session).
-	ChoicesDropped int
+	// StaticsDropped / SetupDropped count warm-cache entries invalidated
+	// (always zero for a non-warm session).
 	StaticsDropped int
 	SetupDropped   int
 }
@@ -129,8 +128,7 @@ type RefreshSummary struct {
 // Changed reports whether the refresh invalidated anything.
 func (r RefreshSummary) Changed() bool {
 	return r.MetaReloaded || r.ArchesRebuilt || r.KconfigReset ||
-		len(r.ConfigsInvalidated) > 0 || r.ChoicesDropped > 0 ||
-		r.StaticsDropped > 0 || r.SetupDropped > 0
+		len(r.ConfigsInvalidated) > 0 || r.StaticsDropped > 0 || r.SetupDropped > 0
 }
 
 // Refresh advances the session past a commit: given the tree after the
@@ -145,11 +143,11 @@ func (r RefreshSummary) Changed() bool {
 //     rebuild the arch index, drop every cached valuation and warm entry;
 //   - any arch/<A>/ path → rediscover architectures and rebuild the arch
 //     index (discovery and the §III-C heuristic both scan arch/), drop
-//     <A>'s valuations and set-up state, drop all cached choices/statics;
+//     <A>'s valuations and set-up state, drop all cached statics;
 //   - any file named Kconfig* → drop every valuation, static entry and
 //     set-up mark (a shared Kconfig file may be sourced by any root);
-//   - any Makefile/Kbuild    → drop cached arch choices and set-up marks
-//     (gating-variable extraction walks Makefiles);
+//   - any Makefile/Kbuild    → drop set-up marks (makefile parses are
+//     keyed by content in kbuild and need no invalidation);
 //   - .c/.h content          → nothing: the token, result and mutation
 //     caches are content-keyed and self-invalidating.
 //
@@ -187,7 +185,7 @@ func (s *Session) Refresh(tree *fstree.Tree, changed []string) (RefreshSummary, 
 		}
 		s.meta = meta
 		sum.MetaReloaded = true
-		archTouched = true   // rediscover against the new metadata
+		archTouched = true    // rediscover against the new metadata
 		kconfigTouched = true // drop everything valuation-shaped
 	}
 	if archTouched {
@@ -206,9 +204,6 @@ func (s *Session) Refresh(tree *fstree.Tree, changed []string) (RefreshSummary, 
 		sum.KconfigReset = true
 	}
 	if s.warm != nil {
-		if archTouched || makefileTouched {
-			sum.ChoicesDropped += s.warm.dropAllChoices()
-		}
 		if archTouched || kconfigTouched {
 			sum.StaticsDropped += s.warm.dropAllStatics()
 		}

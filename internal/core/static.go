@@ -138,8 +138,8 @@ func (c *Checker) staticAnalyzeC(fs *fileState) {
 	for _, m := range fs.muts {
 		m.dead = condDead(si.fc.LineCond(m.mut.Line), ags)
 	}
-	for _, an := range archNames {
-		c.predictArch(fs, si, an)
+	for _, ag := range ags {
+		c.predictArch(fs, si, ag)
 	}
 }
 
@@ -234,18 +234,16 @@ func archAlive(as *archStatic, cond presence.Formula, gate *kbuild.Gate) bool {
 }
 
 // predictArch evaluates each live mutation's condition under one
-// architecture's allyesconfig. Only conditions the model fully resolves
-// produce a prediction; define-kind mutations never do (their markers
-// surface at macro use sites, not at the definition line).
-func (c *Checker) predictArch(fs *fileState, si *staticInfo, archName string) {
-	as := c.staticArch(archName)
-	if as == nil || as.err != nil || as.arch.Broken {
+// architecture's allyesconfig, with the gate archGates resolved. Only
+// conditions the model fully resolves produce a prediction; define-kind
+// mutations never do (their markers surface at macro use sites, not at the
+// definition line).
+func (c *Checker) predictArch(fs *fileState, si *staticInfo, ag archGate) {
+	as, gate := ag.as, ag.gate
+	if as.err != nil || as.arch.Broken || gate == nil {
 		return
 	}
-	gate, gerr := kbuild.FileGate(c.tree, fs.path, archName)
-	if gerr != nil {
-		return
-	}
+	archName := as.arch.Name
 	cfg, _, err := c.configs.Get(c.tree, as.arch, ConfigChoice{Kind: ConfigAllYes}, nil)
 	if err != nil {
 		return

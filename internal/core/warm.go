@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,18 +12,13 @@ import (
 // path exactly as it was, so one-shot invocations are untouched.
 //
 // The dependability contract: nothing cached here may ever change a
-// report byte. Cached arch choices and static Kconfig knowledge are pure
-// recomputations of session-invariant inputs, invalidated by
-// Session.Refresh the moment a commit touches those inputs; the ledgers
-// only measure how much *effective* (wall-clock-analogue) time the warmth
-// saved, while reported durations keep charging the full cold price.
+// report byte. Cached static Kconfig knowledge is a pure recomputation of
+// session-invariant inputs, invalidated by Session.Refresh the moment a
+// commit touches those inputs; the ledgers only measure how much
+// *effective* (wall-clock-analogue) time the warmth saved, while reported
+// durations keep charging the full cold price.
 type warmState struct {
 	mu sync.Mutex
-	// archChoices caches Checker.selectArches results. Key:
-	// path|useDefconfigs|tryAllMod. Values are returned as shallow copies
-	// so callers may reorder the slice; the inner Configs slices are never
-	// mutated by callers (mergeArchChoices copies before appending).
-	archChoices map[string][]ArchChoice
 	// statics caches per-arch Kconfig knowledge for the static presence
 	// pre-pass, promoted from the per-Checker map so a follower pays the
 	// Kconfig walk once per session instead of once per commit.
@@ -43,9 +37,8 @@ type warmState struct {
 
 func newWarmState() *warmState {
 	return &warmState{
-		archChoices: make(map[string][]ArchChoice),
-		statics:     make(map[string]*archStatic),
-		setupDone:   make(map[string]bool),
+		statics:   make(map[string]*archStatic),
+		setupDone: make(map[string]bool),
 	}
 }
 
@@ -84,34 +77,6 @@ func (w *warmState) markSetup(key string) (was bool) {
 	return was
 }
 
-// choiceKey builds the archChoices cache key for one selectArches call.
-func choiceKey(file string, useDefconfigs, tryAllMod bool) string {
-	return file + "|" + strconv.FormatBool(useDefconfigs) + "|" + strconv.FormatBool(tryAllMod)
-}
-
-// selectArches serves the checker's candidate-architecture computation from
-// the session cache, computing on miss. The returned outer slice is a copy
-// (callers reorder it); inner Configs slices are shared, which is safe
-// because no caller appends to a per-file Configs slice in place.
-func (w *warmState) selectArches(c *Checker, file string, useDefconfigs bool) []ArchChoice {
-	key := choiceKey(file, useDefconfigs, c.opts.TryAllModConfig)
-	w.mu.Lock()
-	cached, ok := w.archChoices[key]
-	w.mu.Unlock()
-	if !ok {
-		cached = c.computeSelectArches(file, useDefconfigs)
-		w.mu.Lock()
-		w.archChoices[key] = cached
-		w.mu.Unlock()
-	}
-	if cached == nil {
-		return nil
-	}
-	out := make([]ArchChoice, len(cached))
-	copy(out, cached)
-	return out
-}
-
 // staticArch serves per-arch static Kconfig knowledge from the session
 // cache. Computation happens under the lock: it runs once per arch per
 // session and the underlying Kconfig parse is itself an elected
@@ -141,14 +106,6 @@ func (w *warmState) staticArch(c *Checker, name string) *archStatic {
 
 // Invalidation — called by Session.Refresh with the session lock semantics
 // documented there (no concurrent checkers).
-
-func (w *warmState) dropAllChoices() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := len(w.archChoices)
-	w.archChoices = make(map[string][]ArchChoice)
-	return n
-}
 
 func (w *warmState) dropAllStatics() int {
 	w.mu.Lock()

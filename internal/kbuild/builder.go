@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"path"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -155,59 +153,22 @@ func NewBuilder(tree *fstree.Tree, arch *Arch, cfg *kconfig.Config, meta *Meta, 
 // Reachable checks that the build descends to file for this configuration:
 // every directory on the path is listed (and enabled) in its parent's
 // Makefile, and the file's own object rule is enabled. It returns the
-// file's rule value (Yes for built-in, Mod for module).
+// file's rule value (Yes for built-in, Mod for module). The first disabled
+// directory wins over a structural error further down the walk.
 func (b *Builder) Reachable(file string) (kconfig.Value, error) {
 	file = fstree.Clean(file)
-	dir := path.Dir(file)
-	if dir == "." {
-		dir = ""
-	}
-	// Walk from the root to the file's directory.
-	var components []string
-	if dir != "" {
-		components = strings.Split(dir, "/")
-	}
-	cur := ""
-	for i := 0; i < len(components); i++ {
-		mf, err := LoadMakefile(b.Tree, cur, b.Arch.Name)
-		if err != nil {
-			return kconfig.No, err
+	d := walk(b.Tree, file, b.Arch.Name)
+	for _, s := range d.dirs {
+		if b.ruleValue(s.rule) == kconfig.No {
+			return kconfig.No, fmt.Errorf("%w: %s disabled at %s", ErrNotReachable, file, s.mk)
 		}
-		sub := components[i] + "/"
-		rule, ok := mf.ruleFor(sub)
-		if !ok {
-			// Arch directories nest one extra level: the root Makefile lists
-			// arch/<name>/ in one step.
-			if cur == "" && components[i] == "arch" && i+1 < len(components) {
-				if rule2, ok2 := mf.ruleFor("arch/" + components[i+1] + "/"); ok2 {
-					if v := b.ruleValue(rule2); v == kconfig.No {
-						return kconfig.No, fmt.Errorf("%w: %s disabled at %s", ErrNotReachable, file, mf.Path)
-					}
-					cur = path.Join(cur, components[i], components[i+1])
-					i++
-					continue
-				}
-			}
-			return kconfig.No, fmt.Errorf("%w: %s not listed in %s", ErrNotReachable, file, mf.Path)
-		}
-		if v := b.ruleValue(rule); v == kconfig.No {
-			return kconfig.No, fmt.Errorf("%w: %s disabled at %s", ErrNotReachable, file, mf.Path)
-		}
-		cur = path.Join(cur, components[i])
 	}
-	// The file's own rule.
-	mf, err := LoadMakefile(b.Tree, dir, b.Arch.Name)
-	if err != nil {
-		return kconfig.No, err
+	if d.err != nil {
+		return kconfig.No, d.err
 	}
-	obj := strings.TrimSuffix(path.Base(file), ".c") + ".o"
-	rule, ok := mf.ruleFor(obj)
-	if !ok {
-		return kconfig.No, fmt.Errorf("%w: no rule for %s in %s", ErrNotReachable, obj, mf.Path)
-	}
-	v := b.ruleValue(rule)
+	v := b.ruleValue(d.own)
 	if v == kconfig.No {
-		return kconfig.No, fmt.Errorf("%w: rule for %s disabled (CONFIG_%s=n)", ErrNotReachable, obj, rule.CondVar)
+		return kconfig.No, fmt.Errorf("%w: rule for %s disabled (CONFIG_%s=n)", ErrNotReachable, d.obj, d.own.CondVar)
 	}
 	return v, nil
 }
@@ -461,17 +422,21 @@ func outcomeOf(err error) string {
 // includes the whole-kernel prerequisite build when the tree metadata
 // marks the file that way (paper §V-C).
 func (b *Builder) MakeO(file string) (cc.Object, time.Duration, error) {
+	file = fstree.Clean(file)
+	// Reachability depends only on the tree and configuration, so taking it
+	// before makeO rolls any fault changes no outcome; the traced branch
+	// reuses it for the probe identity.
+	v, reachErr := b.Reachable(file)
 	if b.Trace == nil {
-		return b.makeO(file)
+		return b.makeO(file, v, reachErr)
 	}
 	b.fingerprints()
-	file = fstree.Clean(file)
 	span := b.Trace.Open(trace.KindMakeO,
 		trace.A("arch", b.Arch.Name),
 		trace.A("cfg", fmt.Sprintf("%016x", b.cfgFP)),
 		trace.A("path", file))
 	evBase := b.Faults.EventCount()
-	obj, dur, err := b.makeO(file)
+	obj, dur, err := b.makeO(file, v, reachErr)
 	span.Add(trace.A("outcome", outcomeOf(err)))
 	preProbeFault := false
 	for _, ev := range b.Faults.EventsSince(evBase) {
@@ -483,12 +448,10 @@ func (b *Builder) MakeO(file string) (cc.Object, time.Duration, error) {
 	// Files that got past reachability and the pre-probe faults have a
 	// probe identity; record it on a cache-probe mark so post-merge
 	// stamping can assign the deterministic cache outcome.
-	if !preProbeFault {
-		if v, rerr := b.Reachable(file); rerr == nil {
-			if k := b.traceKey(ccache.StageO, v == kconfig.Mod, file); k != 0 {
-				m := b.Trace.Mark(trace.KindCacheProbe, trace.A("path", file))
-				m.Key = k
-			}
+	if !preProbeFault && reachErr == nil {
+		if k := b.traceKey(ccache.StageO, v == kconfig.Mod, file); k != 0 {
+			m := b.Trace.Mark(trace.KindCacheProbe, trace.A("path", file))
+			m.Key = k
 		}
 	}
 	b.Trace.Advance(dur)
@@ -496,13 +459,14 @@ func (b *Builder) MakeO(file string) (cc.Object, time.Duration, error) {
 	return obj, dur, err
 }
 
-func (b *Builder) makeO(file string) (cc.Object, time.Duration, error) {
+// makeO compiles a cleaned file path whose reachability (v, reachErr) the
+// caller already evaluated.
+func (b *Builder) makeO(file string, v kconfig.Value, reachErr error) (cc.Object, time.Duration, error) {
 	b.invokeSeq++
 	first := !b.invoked
 	b.invoked = true
 	key := fmt.Sprintf("%s:o:%d", b.Arch.Name, b.invokeSeq)
 
-	file = fstree.Clean(file)
 	failBase := b.Model.MakeO(first, b.Arch.SetupOps, 0, 0, key)
 	// Every path below charges `first` pricing exactly once (failBase or
 	// the success duration share the key, and jitter multiplies the whole
@@ -518,9 +482,8 @@ func (b *Builder) makeO(file string) (cc.Object, time.Duration, error) {
 	if b.Faults.FailPreprocess(b.Arch.Name + ":o:" + file) {
 		return cc.Object{}, failDur, fmt.Errorf("%w: compiler crashed on %s (%s)", ErrTransient, file, b.Arch.Name)
 	}
-	v, err := b.Reachable(file)
-	if err != nil {
-		return cc.Object{}, failDur, err
+	if reachErr != nil {
+		return cc.Object{}, failDur, reachErr
 	}
 	if b.Results != nil {
 		p := b.cacheContext(ccache.StageO, v == kconfig.Mod).Probe(TreeSource{b.Tree}, file)

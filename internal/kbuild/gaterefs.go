@@ -3,8 +3,6 @@ package kbuild
 import (
 	"path"
 	"sort"
-	"strings"
-	"sync"
 
 	"jmake/internal/fstree"
 )
@@ -32,7 +30,7 @@ func GateRefs(t *fstree.Tree, archName string) []GateRef {
 		if err != nil {
 			continue
 		}
-		mf := ParseMakefile(p, content, archName)
+		mf := parseShared(p, content, archName)
 		for _, r := range mf.Objs {
 			if r.CondVar != "" {
 				refs = append(refs, GateRef{File: p, Line: r.Line, Var: r.CondVar})
@@ -46,121 +44,4 @@ func GateRefs(t *fstree.Tree, archName string) []GateRef {
 		return refs[i].Line < refs[j].Line
 	})
 	return refs
-}
-
-// MakefileCache memoizes LoadMakefile per (dir, arch) so tree-wide walks —
-// which resolve the same descent-chain makefiles for every file in a
-// directory — parse each makefile once instead of once per file. It is
-// safe for concurrent use.
-type MakefileCache struct {
-	T  *fstree.Tree
-	mu sync.Mutex
-	// byKey caches parse results, including failures, keyed by dir + "\x00"
-	// + arch.
-	byKey map[string]mfEntry
-}
-
-type mfEntry struct {
-	mf  *Makefile
-	err error
-}
-
-// NewMakefileCache returns a cache over one tree snapshot. The cache must
-// not outlive mutations to the tree.
-func NewMakefileCache(t *fstree.Tree) *MakefileCache {
-	return &MakefileCache{T: t, byKey: make(map[string]mfEntry)}
-}
-
-// Load is LoadMakefile with memoization.
-func (c *MakefileCache) Load(dir, archName string) (*Makefile, error) {
-	key := dir + "\x00" + archName
-	c.mu.Lock()
-	e, ok := c.byKey[key]
-	c.mu.Unlock()
-	if !ok {
-		e.mf, e.err = LoadMakefile(c.T, dir, archName)
-		c.mu.Lock()
-		c.byKey[key] = e
-		c.mu.Unlock()
-	}
-	return e.mf, e.err
-}
-
-// FileGate is the cached equivalent of the package-level FileGate: same
-// walk, same results, but each makefile on the descent chain is parsed at
-// most once per architecture across all calls.
-func (c *MakefileCache) FileGate(file, archName string) (Gate, error) {
-	return fileGate(c.Load, file, archName)
-}
-
-// FileGate walks the descent chain of a .c file — the same walk
-// Builder.Reachable performs, minus any configuration — and collects every
-// obj-$(CONFIG_X) condition along it. An error means the chain is broken
-// (missing Makefile, unlisted directory or object): no gate is derivable
-// and callers must not treat the file as unconditionally built.
-func FileGate(t *fstree.Tree, file, archName string) (Gate, error) {
-	return fileGate(func(dir, arch string) (*Makefile, error) {
-		return LoadMakefile(t, dir, arch)
-	}, file, archName)
-}
-
-// fileGate implements the descent-chain walk over any makefile loader.
-func fileGate(load func(dir, archName string) (*Makefile, error), file, archName string) (Gate, error) {
-	file = fstree.Clean(file)
-	dir := path.Dir(file)
-	if dir == "." {
-		dir = ""
-	}
-	var components []string
-	if dir != "" {
-		components = strings.Split(dir, "/")
-	}
-	vars := make(map[string]bool)
-	var gate Gate
-	cur := ""
-	for i := 0; i < len(components); i++ {
-		mf, err := load(cur, archName)
-		if err != nil {
-			return Gate{}, err
-		}
-		rule, ok := mf.ruleFor(components[i] + "/")
-		if !ok {
-			// Arch directories nest one extra level: the root Makefile lists
-			// arch/<name>/ in one step.
-			if cur == "" && components[i] == "arch" && i+1 < len(components) {
-				if rule2, ok2 := mf.ruleFor("arch/" + components[i+1] + "/"); ok2 {
-					if rule2.CondVar != "" {
-						vars[rule2.CondVar] = true
-					}
-					cur = path.Join(cur, components[i], components[i+1])
-					i++
-					continue
-				}
-			}
-			return Gate{}, errNotListed(file, mf.Path)
-		}
-		if rule.CondVar != "" {
-			vars[rule.CondVar] = true
-		}
-		cur = path.Join(cur, components[i])
-	}
-	mf, err := load(dir, archName)
-	if err != nil {
-		return Gate{}, err
-	}
-	obj := strings.TrimSuffix(path.Base(file), ".c") + ".o"
-	rule, ok := mf.ruleFor(obj)
-	if !ok {
-		return Gate{}, errNoRule(obj, mf.Path)
-	}
-	gate.OwnVar = rule.CondVar
-	gate.OwnModule = rule.Module
-	if rule.CondVar != "" {
-		vars[rule.CondVar] = true
-	}
-	for v := range vars {
-		gate.Vars = append(gate.Vars, v)
-	}
-	sort.Strings(gate.Vars)
-	return gate, nil
 }

@@ -3,6 +3,13 @@
 // composite objects, directory descent, single-target preprocessing
 // (`make file.i`) and compilation (`make file.o`), plus the Makefile
 // heuristics JMake uses to guess gating configuration variables (§III-C).
+//
+// One configuration-free walk (descent.go) follows a file's descent from
+// the root Makefile to its obj- rule. Builder.Reachable evaluates that walk
+// under a configuration; FileGate collects its variables. Every makefile
+// read goes through LoadMakefile, whose parses are memoized by path and
+// content, so per-patch clones of a tree share them and an edited makefile
+// is parsed afresh. Reachability itself is evaluated on every call.
 package kbuild
 
 import (
@@ -10,8 +17,10 @@ import (
 	"fmt"
 	"path"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"jmake/internal/fstree"
 )
@@ -38,6 +47,9 @@ type Makefile struct {
 	// Composites maps a composite object name ("foo", from foo.o) to its
 	// constituent object files, from `foo-objs := a.o b.o` or `foo-y := ...`.
 	Composites map[string][]string
+	// compOrder lists the Composites names in order of first appearance, so
+	// an object listed in two composites always resolves to the first.
+	compOrder []string
 	// ConfigVars lists every CONFIG_* variable mentioned anywhere in the
 	// file, for the fallback gating heuristic.
 	ConfigVars []string
@@ -82,6 +94,9 @@ func ParseMakefile(mkPath, content, archName string) *Makefile {
 		}
 		if m := compositeRe.FindStringSubmatch(line); m != nil && m[1] != "obj" {
 			name := strings.TrimSuffix(m[1], "-")
+			if _, ok := mf.Composites[name]; !ok {
+				mf.compOrder = append(mf.compOrder, name)
+			}
 			mf.Composites[name] = append(mf.Composites[name], strings.Fields(m[3])...)
 		}
 	}
@@ -89,34 +104,85 @@ func ParseMakefile(mkPath, content, archName string) *Makefile {
 }
 
 // LoadMakefile reads and parses the makefile for directory dir, trying
-// "Makefile" then "Kbuild".
+// "Makefile" then "Kbuild". The result is shared with every other caller
+// that loads the same content and must not be modified.
 func LoadMakefile(t *fstree.Tree, dir, archName string) (*Makefile, error) {
 	for _, name := range []string{"Makefile", "Kbuild"} {
 		p := path.Join(dir, name)
 		if content, err := t.Read(p); err == nil {
-			return ParseMakefile(p, content, archName), nil
+			return parseShared(p, content, archName), nil
 		}
 	}
 	return nil, fmt.Errorf("%w in %s", ErrNoMakefile, dir)
 }
 
+// memoLimit bounds the parse memo. One scale-1.0 tree has 115 makefiles
+// plus one root parse per architecture, so the memo holds a few trees'
+// worth before it is cleared.
+const memoLimit = 512
+
+// memoKey identifies one parse: the makefile's path and content, and the
+// architecture only when the content names a variable ParseMakefile
+// substitutes.
+type memoKey struct{ path, content, arch string }
+
+var memo = struct {
+	sync.Mutex
+	parsed map[memoKey]*Makefile
+}{parsed: make(map[memoKey]*Makefile)}
+
+// parseShared is ParseMakefile through the package memo. Keying on content
+// lets per-patch clones of one tree share parses while an edited makefile
+// misses; because the key holds everything a parse depends on, sessions and
+// tests sharing the memo cannot see each other's trees. The memo is cleared
+// whole once it passes memoLimit entries, so parses of many distinct trees
+// cannot pile up.
+func parseShared(mkPath, content, archName string) *Makefile {
+	key := memoKey{path: mkPath, content: content}
+	if strings.Contains(content, "$(SRCARCH)") || strings.Contains(content, "$(ARCH)") {
+		key.arch = archName
+	}
+	memo.Lock()
+	mf := memo.parsed[key]
+	memo.Unlock()
+	if mf != nil {
+		return mf
+	}
+	mf = ParseMakefile(mkPath, content, archName)
+	memo.Lock()
+	if len(memo.parsed) >= memoLimit {
+		clear(memo.parsed)
+	}
+	memo.parsed[key] = mf
+	memo.Unlock()
+	return mf
+}
+
+// maxCompositeDepth bounds composite resolution, so a composite that lists
+// itself (foo-y := foo.o) ends the lookup instead of recursing forever.
+const maxCompositeDepth = 8
+
 // ruleFor returns the rule covering target ("foo.o" or "sub/") and whether
 // one exists. Composite membership is resolved: if target belongs to
-// foo-objs, the rule for foo.o applies.
+// foo-objs, the rule for foo.o applies; composites are tried in makefile
+// order.
 func (mf *Makefile) ruleFor(target string) (ObjRule, bool) {
+	return mf.ruleAt(target, 0)
+}
+
+func (mf *Makefile) ruleAt(target string, depth int) (ObjRule, bool) {
+	if depth > maxCompositeDepth {
+		return ObjRule{}, false
+	}
 	for _, r := range mf.Objs {
-		for _, tgt := range r.Targets {
-			if tgt == target {
-				return r, true
-			}
+		if slices.Contains(r.Targets, target) {
+			return r, true
 		}
 	}
 	if strings.HasSuffix(target, ".o") {
-		for comp, members := range mf.Composites {
-			for _, mem := range members {
-				if mem == target {
-					return mf.ruleFor(comp + ".o")
-				}
+		for _, comp := range mf.compOrder {
+			if slices.Contains(mf.Composites[comp], target) {
+				return mf.ruleAt(comp+".o", depth+1)
 			}
 		}
 	}
@@ -134,7 +200,7 @@ func GatingConfigs(t *fstree.Tree, cFile, archName string) ([]string, error) {
 	}
 	obj := strings.TrimSuffix(path.Base(cFile), ".c") + ".o"
 	vars := make(map[string]bool)
-	collectGating(mf, obj, vars, 0)
+	collectGating(mf, obj, vars, 0, make(map[string]int))
 	if len(vars) == 0 {
 		for _, v := range mf.ConfigVars {
 			vars[v] = true
@@ -148,49 +214,25 @@ func GatingConfigs(t *fstree.Tree, cFile, archName string) ([]string, error) {
 	return out, nil
 }
 
-// Gate is the exact Kbuild gate of one file: the conjunction of CONFIG
-// variables that must be enabled for the build to descend to it. Unlike the
-// GatingConfigs heuristic, it is derived from the actual descent chain and
-// object rule, so it is a presence condition, not a guess.
-type Gate struct {
-	// Vars are CONFIG variable names (without prefix, sorted, deduplicated)
-	// gating the descent directories and the file's own rule; all must be
-	// != n for the file to be built.
-	Vars []string
-	// OwnVar is the CONFIG variable of the file's own obj- rule, "" for
-	// obj-y/obj-m. When set it also appears in Vars.
-	OwnVar string
-	// OwnModule is true when the file's own rule is obj-m: the file can
-	// only ever be built as a module.
-	OwnModule bool
-}
-
-func errNotListed(file, mkPath string) error {
-	return fmt.Errorf("%w: %s not listed in %s", ErrNotReachable, file, mkPath)
-}
-
-func errNoRule(obj, mkPath string) error {
-	return fmt.Errorf("%w: no rule for %s in %s", ErrNotReachable, obj, mkPath)
-}
-
-func collectGating(mf *Makefile, obj string, vars map[string]bool, depth int) {
-	if depth > 8 {
+// collectGating adds the variables of rules naming obj, following composite
+// labels up to maxCompositeDepth hops. reached records the shallowest depth
+// each object was expanded at, so duplicated members cannot make the
+// recursion exponential.
+func collectGating(mf *Makefile, obj string, vars map[string]bool, depth int, reached map[string]int) {
+	if d, ok := reached[obj]; depth > maxCompositeDepth || ok && d <= depth {
 		return
 	}
+	reached[obj] = depth
 	for _, r := range mf.Objs {
-		for _, tgt := range r.Targets {
-			if tgt == obj && r.CondVar != "" {
-				vars[r.CondVar] = true
-			}
+		if r.CondVar != "" && slices.Contains(r.Targets, obj) {
+			vars[r.CondVar] = true
 		}
 	}
 	// Composite labels whose member list mentions obj: recurse on the
 	// label's own .o.
-	for comp, members := range mf.Composites {
-		for _, mem := range members {
-			if mem == obj {
-				collectGating(mf, comp+".o", vars, depth+1)
-			}
+	for _, comp := range mf.compOrder {
+		if slices.Contains(mf.Composites[comp], obj) {
+			collectGating(mf, comp+".o", vars, depth+1, reached)
 		}
 	}
 }

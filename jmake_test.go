@@ -1,6 +1,7 @@
 package jmake_test
 
 import (
+	"path"
 	"strings"
 	"testing"
 
@@ -167,4 +168,47 @@ func TestCheckPatchTextErrors(t *testing.T) {
 	if _, err := jmake.CheckPatchText(tree, bad, jmake.Options{}); err == nil {
 		t.Error("patch against missing file accepted")
 	}
+}
+
+// A patch whose Makefile line turns a driver's object into a composite of
+// itself (foo-y := foo.o) once crashed the process with a stack overflow in
+// the Kbuild walk. It must now yield an ordinary report in which the
+// driver is unreachable.
+func TestCheckPatchTextCompositeCycle(t *testing.T) {
+	tree, man, err := jmake.GenerateKernel(9, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range man.Drivers {
+		if d.ArchBound != "" || d.ExtraCFile != "" {
+			continue
+		}
+		obj := strings.TrimSuffix(path.Base(d.CFile), ".c") + ".o"
+		mk := path.Dir(d.CFile) + "/Makefile"
+		oldMk, err := tree.Read(mk)
+		if err != nil {
+			continue
+		}
+		rule := "obj-$(CONFIG_" + d.ConfigVar + ") += " + obj + "\n"
+		if !strings.Contains(oldMk, rule) {
+			continue
+		}
+		oldC, _ := tree.Read(d.CFile)
+		mkDiff, _ := jmake.DiffFiles(mk, oldMk, strings.Replace(oldMk, rule, strings.TrimSuffix(obj, ".o")+"-y := "+obj+"\n", 1))
+		cDiff, _ := jmake.DiffFiles(d.CFile, oldC, oldC+"int composite_cycle_probe;\n")
+		report, err := jmake.CheckPatchText(tree, jmake.FormatDiff(mkDiff)+jmake.FormatDiff(cDiff), jmake.Options{})
+		if err != nil {
+			t.Fatalf("CheckPatchText: %v", err)
+		}
+		for _, fo := range report.Files {
+			if fo.Path == d.CFile {
+				if !strings.Contains(fo.FailureDetail, "no rule for "+obj) {
+					t.Errorf("%s: status %v, detail %q; want a no-rule failure", fo.Path, fo.Status, fo.FailureDetail)
+				}
+				return
+			}
+		}
+		t.Fatalf("report has no outcome for %s: %+v", d.CFile, report.Files)
+	}
+	t.Skip("no single-file driver with a plain obj- rule at this seed")
 }
