@@ -337,8 +337,11 @@ func probeKey(stage Stage, ctx, rootHash uint64) uint64 {
 }
 
 // OptionsFingerprint hashes the verdict-relevant cpp.Options fields:
-// include search order, predefined macros, and nesting bound. The token
-// cache is a pure memoization and is excluded.
+// include search order, predefined macros, and nesting bound. The define
+// set enters as its digest, memoized on a shared Predefined set and equal
+// to cpp.DefinesDigest of a plain Defines map, so either Options form
+// yields the same fingerprint. The token cache is a pure memoization and
+// is excluded.
 func OptionsFingerprint(o cpp.Options) uint64 {
 	h := fnv.New64a()
 	for _, d := range o.IncludeDirs {
@@ -346,25 +349,10 @@ func OptionsFingerprint(o cpp.Options) uint64 {
 		_, _ = h.Write([]byte{0})
 	}
 	_, _ = h.Write([]byte{1})
-	writeDef := func(name, body string) {
-		_, _ = h.Write([]byte(name))
-		_, _ = h.Write([]byte{'='})
-		_, _ = h.Write([]byte(body))
-		_, _ = h.Write([]byte{0})
-	}
 	if o.Predefined != nil {
-		// Pre-sorted in the shared set; byte-identical to the map walk
-		// below, so either Options form yields the same fingerprint.
-		o.Predefined.VisitDefines(writeDef)
+		hashU64(h, o.Predefined.Digest())
 	} else {
-		names := make([]string, 0, len(o.Defines))
-		for name := range o.Defines {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			writeDef(name, o.Defines[name])
-		}
+		hashU64(h, cpp.DefinesDigest(o.Defines))
 	}
 	hashU64(h, uint64(o.MaxDepth))
 	return h.Sum64()

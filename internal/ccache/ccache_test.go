@@ -454,6 +454,17 @@ func TestOptionsFingerprint(t *testing.T) {
 	if b := OptionsFingerprint(optsWith([]string{"include"}, base(), 11)); a == b {
 		t.Fatalf("max depth must affect fingerprint")
 	}
+	// The memoized digest of a shared Predefined set fingerprints like the
+	// plain Defines map it was built from.
+	o := optsWith([]string{"include"}, nil, 10)
+	o.Predefined = cpp.NewPredefined(base())
+	if b := OptionsFingerprint(o); a != b {
+		t.Fatalf("Predefined and Defines forms of one define set fingerprint differently")
+	}
+	o.Predefined = cpp.NewPredefined(d)
+	if b := OptionsFingerprint(o); a == b {
+		t.Fatalf("Predefined defines must affect fingerprint")
+	}
 }
 
 // Persistence failures stay silent in behavior (cold start) but must be

@@ -14,8 +14,9 @@ import (
 )
 
 // persistVersion guards the on-disk format: a file written by a different
-// version is ignored wholesale (cold start, never an error).
-const persistVersion = 1
+// version is ignored wholesale (cold start, never an error). Version 2
+// keys entries by options fingerprints that fold a define-set digest.
+const persistVersion = 2
 
 // persistFile is the cache's file name under the -cache-dir directory.
 const persistFile = "jmake-ccache.json"

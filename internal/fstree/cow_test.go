@@ -1,0 +1,195 @@
+package fstree
+
+import (
+	"errors"
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// fuzzPaths is FuzzTreeOps' path alphabet, four names in each of six
+// directories: nested directories, a file that shares a directory's name
+// ("a"), and string prefixes that are not directory prefixes ("ab",
+// "arch/x8"). Twenty-four paths let a base grow large enough for its
+// overlay to hold a few entries before a fold.
+var (
+	fuzzDirs  = []string{"", "a", "a/b", "ab", "arch/x8", "arch/x86"}
+	fuzzPaths = func() []string {
+		var out []string
+		for _, n := range []string{"a", "b.c", "x86", "zz.h"} {
+			for _, d := range fuzzDirs {
+				out = append(out, strings.TrimPrefix(d+"/"+n, "/"))
+			}
+		}
+		return out
+	}()
+	fuzzUnder = append(fuzzDirs, "arch", "nope")
+)
+
+// maxFuzzTrees bounds how many trees one FuzzTreeOps input juggles, and
+// maxFuzzSteps how many steps it takes, which keeps an execution short.
+const (
+	maxFuzzTrees = 3
+	maxFuzzSteps = 64
+)
+
+// FuzzTreeOps decodes its input into Write, Remove, Clone and switch-tree
+// steps, two bytes each, applies every step both to copy-on-write trees
+// and to plain map models, and after each step requires every tree to
+// agree with its model on Read, Exists, Len, Paths, Under and Walk. Since
+// each model is independent, a write that leaks from a clone into its
+// source, or back, fails the check, folds included.
+func FuzzTreeOps(f *testing.F) {
+	// Fill a plain tree, clone it, then edit both sides across folds.
+	var seed []byte
+	for i := byte(0); i < 20; i++ {
+		seed = append(seed, 0, i)
+	}
+	seed = append(seed, 3, 1, 4, 1)
+	for i := byte(0); i < 10; i++ {
+		seed = append(seed, 2, i*5, 1, 20+i, 4, i)
+	}
+	f.Add(seed)
+	rnd := rand.New(rand.NewSource(1))
+	for n := maxFuzzSteps; n <= 2*maxFuzzSteps; n *= 2 {
+		b := make([]byte, n)
+		rnd.Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		trees := []*Tree{New()}
+		models := []map[string]string{{}}
+		cur := 0
+		for i := 0; i+1 < len(ops) && i < 2*maxFuzzSteps; i += 2 {
+			op, arg := ops[i], ops[i+1]
+			p := fuzzPaths[int(arg)%len(fuzzPaths)]
+			name := p
+			if arg >= 128 {
+				name = "./" + p // every method cleans its path
+			}
+			switch op % 5 {
+			case 0, 1: // writes are twice as likely, so trees grow
+				content := fmt.Sprintf("%s@%d", p, i)
+				trees[cur].Write(name, content)
+				models[cur][p] = content
+			case 2:
+				err := trees[cur].Remove(name)
+				_, had := models[cur][p]
+				if had != (err == nil) || (err != nil && !errors.Is(err, ErrNotExist)) {
+					t.Fatalf("step %d: Remove(%q) = %v, file present: %v", i, name, err, had)
+				}
+				delete(models[cur], p)
+			case 3: // clone into a new slot, or over an existing one
+				dst := int(arg) % maxFuzzTrees
+				clone, model := trees[cur].Clone(), maps.Clone(models[cur])
+				if dst >= len(trees) {
+					trees, models = append(trees, clone), append(models, model)
+				} else {
+					trees[dst], models[dst] = clone, model
+				}
+			case 4:
+				cur = int(arg) % len(trees)
+			}
+			for k := range trees {
+				if err := checkModel(trees[k], models[k]); err != nil {
+					t.Fatalf("step %d, tree %d: %v", i, k, err)
+				}
+			}
+		}
+	})
+}
+
+// checkModel reports the first query on which tr disagrees with model.
+func checkModel(tr *Tree, model map[string]string) error {
+	if tr.Len() != len(model) {
+		return fmt.Errorf("Len = %d, want %d", tr.Len(), len(model))
+	}
+	want := make([]string, 0, len(model))
+	for p := range model {
+		want = append(want, p)
+	}
+	sort.Strings(want)
+	if got := tr.Paths(); !slices.Equal(got, want) {
+		return fmt.Errorf("Paths = %v, want %v", got, want)
+	}
+	for _, p := range fuzzPaths {
+		wc, wok := model[p]
+		c, err := tr.Read(p)
+		if (err == nil) != wok || c != wc || tr.Exists(p) != wok {
+			return fmt.Errorf("Read(%q) = %q, %v; Exists = %v; want %q, %v", p, c, err, tr.Exists(p), wc, wok)
+		}
+	}
+	for _, d := range fuzzUnder {
+		var under []string
+		for _, p := range want {
+			if d == "" || strings.HasPrefix(p, d) && strings.HasPrefix(p[len(d):], "/") {
+				under = append(under, p)
+			}
+		}
+		if got := tr.Under(d); !slices.Equal(got, under) {
+			return fmt.Errorf("Under(%q) = %v, want %v", d, got, under)
+		}
+	}
+	var walked []string
+	err := tr.Walk(func(p, c string) error {
+		if c != model[p] {
+			return fmt.Errorf("content %q, want %q", c, model[p])
+		}
+		walked = append(walked, p)
+		return nil
+	})
+	if err != nil || !slices.Equal(walked, want) {
+		return fmt.Errorf("Walk = %v, %v; want %v", walked, err, want)
+	}
+	return nil
+}
+
+// TestConcurrentClones: goroutines that clone one tree and write to their
+// clones race neither with each other nor with readers of the source, for
+// a plain source (each clone folds a base of its own) and for one over a
+// base (clones share it, and their writes fold new bases).
+func TestConcurrentClones(t *testing.T) {
+	plain := New()
+	for i := 0; i < 64; i++ {
+		plain.Write(fmt.Sprintf("d%d/f%d.c", i%4, i), "v0")
+	}
+	layered := plain.Clone()
+	for i := 0; i < 8; i += 2 {
+		layered.Write(fmt.Sprintf("d%d/f%d.c", i%4, i), "v1")
+	}
+	for name, src := range map[string]*Tree{"plain": plain, "layered": layered} {
+		want := src.Paths()
+		first, _ := src.Read("d0/f0.c")
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for r := 0; r < 20; r++ {
+					c := src.Clone()
+					for i := 0; i < 24; i++ {
+						c.Write(fmt.Sprintf("d%d/g%d-%d.c", i%4, g, i), "w")
+					}
+					if err := c.Remove("d1/f1.c"); err != nil {
+						t.Errorf("%s: Remove: %v", name, err)
+					}
+					if c.Len() != len(want)+23 || len(c.Under("d1")) != 16+6-1 {
+						t.Errorf("%s: clone Len = %d, Under(d1) = %d", name, c.Len(), len(c.Under("d1")))
+					}
+					if got := src.Paths(); !slices.Equal(got, want) {
+						t.Errorf("%s: source Paths changed under a clone", name)
+					}
+					if got, _ := src.Read("d0/f0.c"); got != first {
+						t.Errorf("%s: source d0/f0.c = %q, want %q", name, got, first)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+}

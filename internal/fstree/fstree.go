@@ -5,11 +5,24 @@
 // bottlenecks; fstree plays the same role here. Paths are slash-separated,
 // relative, and cleaned on every operation, so "./a//b" and "a/b" name the
 // same file.
+//
+// A Tree is copy-on-write, in two layers. The base is immutable: a file map
+// plus its sorted path list, shared by every tree cloned from it. The
+// overlay is private: the tree's own writes, and its removals of base
+// files. Clone copies only the overlay, so a checkout or a per-patch
+// working copy costs O(diff), not O(tree), and Clone never mutates its
+// receiver: any number of goroutines may clone and read one tree while
+// nothing writes to it. An overlay that outgrows a fixed fraction of its
+// base is folded into a new base: on a write, only when the tree already
+// has a base; on a clone, into the new tree only. A tree built from empty
+// (New, LoadDir) has no base, so it stays a plain file map however large
+// it grows.
 package fstree
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"path"
 	"sort"
 	"strings"
@@ -19,16 +32,32 @@ import (
 // the tree.
 var ErrNotExist = errors.New("fstree: file does not exist")
 
+// foldDivisor sets when an overlay is folded into a new base: once it holds
+// more than 1/foldDivisor as many entries as the base has files. A clone
+// then copies at most that fraction of the tree, and a fold, which copies
+// the whole tree, runs at most once per len(base)/foldDivisor writes.
+const foldDivisor = 8
+
+// layer is an immutable base: files and their paths, sorted.
+type layer struct {
+	files map[string]string
+	paths []string
+}
+
 // Tree is a mutable in-memory file tree. The zero value is not usable; call
 // New. Tree is not safe for concurrent mutation; the evaluation harness
 // gives each worker its own Tree, mirroring the paper's 25 kernel copies.
 type Tree struct {
-	files map[string]string
+	base *layer // shared and never modified; nil for a tree built from empty
+	over map[string]string
+	// gone holds removed base files; it never shares a path with over.
+	gone map[string]struct{}
+	n    int
 }
 
 // New returns an empty tree.
 func New() *Tree {
-	return &Tree{files: make(map[string]string)}
+	return &Tree{over: make(map[string]string)}
 }
 
 // Clean normalizes a tree path: slash-separated, no leading "./", no
@@ -42,14 +71,58 @@ func Clean(p string) string {
 	return p
 }
 
+func (t *Tree) lookup(p string) (string, bool) {
+	if c, ok := t.over[p]; ok {
+		return c, true
+	}
+	if t.base == nil {
+		return "", false
+	}
+	if _, ok := t.gone[p]; ok {
+		return "", false
+	}
+	c, ok := t.base.files[p]
+	return c, ok
+}
+
+func (t *Tree) inBase(p string) bool {
+	if t.base == nil {
+		return false
+	}
+	_, ok := t.base.files[p]
+	return ok
+}
+
+// overgrown reports whether the overlay should be folded into the base,
+// which must exist.
+func (t *Tree) overgrown() bool {
+	return len(t.over)+len(t.gone) > len(t.base.files)/foldDivisor
+}
+
 // Write creates or replaces the file at p with content.
 func (t *Tree) Write(p, content string) {
-	t.files[Clean(p)] = content
+	p = Clean(p)
+	had := len(t.over)
+	t.over[p] = content
+	if len(t.over) == had {
+		return // replaced an earlier write
+	}
+	if _, ok := t.gone[p]; ok {
+		delete(t.gone, p)
+		t.n++
+		return
+	}
+	if !t.inBase(p) {
+		t.n++
+	}
+	if t.base != nil && t.overgrown() {
+		t.fold()
+	}
 }
 
 // Read returns the content of the file at p.
 func (t *Tree) Read(p string) (string, error) {
-	c, ok := t.files[Clean(p)]
+	c, ok := t.lookup(Clean(p))
 	if !ok {
 		return "", fmt.Errorf("%w: %s", ErrNotExist, p)
 	}
@@ -57,49 +130,38 @@ func (t *Tree) Read(p string) (string, error) {
 }
 
 // Exists reports whether a file exists at p. Directories are implicit:
-// Exists is about files only; use HasDir for directories.
+// Exists is about files only.
 func (t *Tree) Exists(p string) bool {
-	_, ok := t.files[Clean(p)]
+	_, ok := t.lookup(Clean(p))
 	return ok
-}
-
-// HasDir reports whether any file lives under directory p.
-func (t *Tree) HasDir(p string) bool {
-	prefix := Clean(p)
-	if prefix == "" {
-		return len(t.files) > 0
-	}
-	prefix += "/"
-	for f := range t.files {
-		if strings.HasPrefix(f, prefix) {
-			return true
-		}
-	}
-	return false
 }
 
 // Remove deletes the file at p.
 func (t *Tree) Remove(p string) error {
 	cp := Clean(p)
-	if _, ok := t.files[cp]; !ok {
+	if _, ok := t.lookup(cp); !ok {
 		return fmt.Errorf("%w: %s", ErrNotExist, p)
 	}
-	delete(t.files, cp)
+	t.n--
+	delete(t.over, cp)
+	if !t.inBase(cp) {
+		return nil
+	}
+	if t.gone == nil {
+		t.gone = make(map[string]struct{})
+	}
+	t.gone[cp] = struct{}{}
+	if t.overgrown() {
+		t.fold()
+	}
 	return nil
 }
 
 // Len returns the number of files in the tree.
-func (t *Tree) Len() int { return len(t.files) }
+func (t *Tree) Len() int { return t.n }
 
 // Paths returns all file paths, sorted.
-func (t *Tree) Paths() []string {
-	out := make([]string, 0, len(t.files))
-	for p := range t.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
+func (t *Tree) Paths() []string { return t.under("") }
 
 // Under returns all file paths under directory dir, sorted. An empty dir
 // returns every path.
@@ -108,24 +170,77 @@ func (t *Tree) Under(dir string) []string {
 	if prefix != "" {
 		prefix += "/"
 	}
-	var out []string
-	for p := range t.files {
+	return t.under(prefix)
+}
+
+// under merges the base's sorted paths that start with prefix, found by
+// binary search, with the overlay's, minus removed base files.
+func (t *Tree) under(prefix string) []string {
+	var base []string
+	if t.base != nil {
+		all := t.base.paths
+		lo := sort.SearchStrings(all, prefix)
+		hi := lo + sort.Search(len(all)-lo, func(i int) bool {
+			return !strings.HasPrefix(all[lo+i], prefix)
+		})
+		base = all[lo:hi]
+	}
+	var over []string
+	for p := range t.over {
 		if strings.HasPrefix(p, prefix) {
-			out = append(out, p)
+			over = append(over, p)
 		}
 	}
-	sort.Strings(out)
+	sort.Strings(over)
+	out := make([]string, 0, len(base)+len(over))
+	for len(base) > 0 || len(over) > 0 {
+		switch {
+		case len(over) == 0 || len(base) > 0 && base[0] < over[0]:
+			if _, ok := t.gone[base[0]]; !ok {
+				out = append(out, base[0])
+			}
+			base = base[1:]
+		case len(base) == 0 || over[0] < base[0]:
+			out = append(out, over[0])
+			over = over[1:]
+		default: // a written base file
+			out = append(out, over[0])
+			base, over = base[1:], over[1:]
+		}
+	}
 	return out
 }
 
-// Clone returns a deep copy of the tree. Used for history checkpoints and
-// per-worker working copies.
+// Clone returns an independent copy of the tree that shares its base. It
+// never modifies t. Used for history checkpoints and per-worker working
+// copies.
 func (t *Tree) Clone() *Tree {
-	nt := &Tree{files: make(map[string]string, len(t.files))}
-	for p, c := range t.files {
-		nt.files[p] = c
+	if t.base == nil || t.overgrown() {
+		return &Tree{base: t.merged(), over: make(map[string]string), n: t.n}
 	}
-	return nt
+	return &Tree{base: t.base, over: maps.Clone(t.over), gone: maps.Clone(t.gone), n: t.n}
+}
+
+// fold replaces the tree's base with one holding all of its files.
+func (t *Tree) fold() {
+	t.base = t.merged()
+	t.over = make(map[string]string)
+	t.gone = nil
+}
+
+// merged returns a new base holding the tree's files. It only reads t.
+func (t *Tree) merged() *layer {
+	var files map[string]string
+	if t.base == nil {
+		files = maps.Clone(t.over)
+	} else {
+		files = maps.Clone(t.base.files)
+		for p := range t.gone {
+			delete(files, p)
+		}
+		maps.Copy(files, t.over)
+	}
+	return &layer{files: files, paths: t.Paths()}
 }
 
 // WalkFunc is called by Walk for every file in sorted path order.
@@ -134,7 +249,8 @@ type WalkFunc func(path, content string) error
 // Walk visits every file in sorted path order, stopping at the first error.
 func (t *Tree) Walk(fn WalkFunc) error {
 	for _, p := range t.Paths() {
-		if err := fn(p, t.files[p]); err != nil {
+		c, _ := t.lookup(p)
+		if err := fn(p, c); err != nil {
 			return err
 		}
 	}

@@ -52,30 +52,30 @@ func TestWriteReadRemove(t *testing.T) {
 	}
 }
 
-func TestUnderAndHasDir(t *testing.T) {
+func TestUnder(t *testing.T) {
 	tr := New()
 	tr.Write("arch/x86/Makefile", "m")
 	tr.Write("arch/x86/kernel/a.c", "a")
 	tr.Write("arch/arm/Makefile", "m")
 	tr.Write("drivers/net/b.c", "b")
 
-	got := tr.Under("arch/x86")
-	want := []string{"arch/x86/Makefile", "arch/x86/kernel/a.c"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Under(arch/x86) = %v, want %v", got, want)
-	}
-	if !tr.HasDir("arch/arm") {
-		t.Error("HasDir(arch/arm) = false")
-	}
-	if tr.HasDir("arch/mips") {
-		t.Error("HasDir(arch/mips) = true, want false")
-	}
-	if len(tr.Under("")) != 4 {
-		t.Errorf("Under(\"\") len = %d, want 4", len(tr.Under("")))
-	}
-	// "arch/x8" is a prefix of "arch/x86" as a string but not a directory.
-	if tr.HasDir("arch/x8") {
-		t.Error("HasDir(arch/x8) = true, want false: not a real directory")
+	// The same answers from a plain tree and from a clone over a base.
+	for name, tr := range map[string]*Tree{"plain": tr, "clone": tr.Clone()} {
+		got := tr.Under("arch/x86")
+		want := []string{"arch/x86/Makefile", "arch/x86/kernel/a.c"}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Under(arch/x86) = %v, want %v", name, got, want)
+		}
+		if got := tr.Under("arch/mips"); len(got) != 0 {
+			t.Errorf("%s: Under(arch/mips) = %v, want none", name, got)
+		}
+		if len(tr.Under("")) != 4 {
+			t.Errorf("%s: Under(\"\") len = %d, want 4", name, len(tr.Under("")))
+		}
+		// "arch/x8" is a prefix of "arch/x86" as a string but not a directory.
+		if got := tr.Under("arch/x8"); len(got) != 0 {
+			t.Errorf("%s: Under(arch/x8) = %v, want none: not a real directory", name, got)
+		}
 	}
 }
 

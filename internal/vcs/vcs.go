@@ -55,9 +55,10 @@ type Commit struct {
 	Changes []Change
 }
 
-// checkpointEvery controls how often a full tree snapshot is retained to
-// bound checkout cost.
-const checkpointEvery = 256
+// checkpointEvery controls how often a tree snapshot is retained to bound
+// checkout cost. A snapshot is a clone of the tip, so it shares the tip's
+// copy-on-write base and costs only the tip's overlay.
+const checkpointEvery = 32
 
 // Repo is an append-only repository. It is safe for concurrent reads after
 // all commits have been appended; appending is not concurrency-safe.
@@ -67,19 +68,18 @@ type Repo struct {
 	order       []string // commit IDs, oldest first, including root
 	index       map[string]int
 	tags        map[string]string
-	checkpoints map[int]*fstree.Tree // order index -> snapshot after that commit
+	checkpoints []*fstree.Tree // [i]: snapshot after commit i*checkpointEvery
 	tip         *fstree.Tree
 }
 
 // NewRepo creates a repository whose root commit holds a copy of base.
 func NewRepo(base *fstree.Tree, author Signature) *Repo {
 	r := &Repo{
-		blobs:       make(map[Hash]string),
-		commits:     make(map[string]*Commit),
-		index:       make(map[string]int),
-		tags:        make(map[string]string),
-		checkpoints: make(map[int]*fstree.Tree),
-		tip:         base.Clone(),
+		blobs:   make(map[Hash]string),
+		commits: make(map[string]*Commit),
+		index:   make(map[string]int),
+		tags:    make(map[string]string),
+		tip:     base.Clone(),
 	}
 	root := &Commit{Author: author, Subject: "initial import"}
 	for _, p := range r.tip.Paths() {
@@ -91,7 +91,7 @@ func NewRepo(base *fstree.Tree, author Signature) *Repo {
 	r.commits[root.ID] = root
 	r.index[root.ID] = 0
 	r.order = append(r.order, root.ID)
-	r.checkpoints[0] = r.tip.Clone()
+	r.checkpoints = append(r.checkpoints, r.tip.Clone())
 	return r
 }
 
@@ -116,12 +116,23 @@ func (r *Repo) commitID(c *Commit) string {
 
 // Commit appends a commit that applies files to the tip: for each entry, a
 // non-nil value writes the file and nil deletes it. It returns the new
-// commit's ID. Paths are sorted for determinism.
+// commit's ID. Paths are cleaned and then applied in sorted order; when
+// several keys clean to the same path, the last key in sorted order wins.
 func (r *Repo) Commit(author Signature, subject string, files map[string]*string, isMerge bool) string {
 	c := &Commit{Parent: r.order[len(r.order)-1], Author: author, Subject: subject, IsMerge: isMerge}
-	paths := make([]string, 0, len(files))
+	keys := make([]string, 0, len(files))
 	for p := range files {
-		paths = append(paths, fstree.Clean(p))
+		keys = append(keys, p)
+	}
+	sort.Strings(keys)
+	clean := make(map[string]*string, len(files))
+	var paths []string
+	for _, k := range keys {
+		p := fstree.Clean(k)
+		if _, dup := clean[p]; !dup {
+			paths = append(paths, p)
+		}
+		clean[p] = files[k]
 	}
 	sort.Strings(paths)
 	for _, p := range paths {
@@ -129,7 +140,7 @@ func (r *Repo) Commit(author Signature, subject string, files map[string]*string
 		if prev, err := r.tip.Read(p); err == nil {
 			old = r.putBlob(prev)
 		}
-		nv := files[p]
+		nv := clean[p]
 		if nv == nil {
 			if old == "" {
 				continue // deleting a nonexistent file is a no-op
@@ -153,7 +164,7 @@ func (r *Repo) Commit(author Signature, subject string, files map[string]*string
 	r.index[c.ID] = idx
 	r.order = append(r.order, c.ID)
 	if idx%checkpointEvery == 0 {
-		r.checkpoints[idx] = r.tip.Clone()
+		r.checkpoints = append(r.checkpoints, r.tip.Clone())
 	}
 	return c.ID
 }
@@ -282,22 +293,10 @@ func (r *Repo) CheckoutTree(id string) (*fstree.Tree, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownCommit, id)
 	}
-	// Nearest checkpoint at or before idx.
-	ci := idx - idx%checkpointEvery
-	base, ok := r.checkpoints[ci]
-	if !ok {
-		// The tip tree may be ahead of the last checkpoint; rebuild from the
-		// closest earlier checkpoint that exists.
-		for ci > 0 && !ok {
-			ci -= checkpointEvery
-			base, ok = r.checkpoints[ci]
-		}
-		if !ok {
-			return nil, fmt.Errorf("vcs: no checkpoint for commit %s", id)
-		}
-	}
-	t := base.Clone()
-	for i := ci + 1; i <= idx; i++ {
+	// NewRepo and Commit keep a checkpoint at every multiple of
+	// checkpointEvery, so at most checkpointEvery-1 commits replay.
+	t := r.checkpoints[idx/checkpointEvery].Clone()
+	for i := idx - idx%checkpointEvery + 1; i <= idx; i++ {
 		for _, ch := range r.commits[r.order[i]].Changes {
 			if ch.New == "" {
 				// Deletions of files missing from the checkpoint are no-ops.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -403,4 +404,171 @@ func TestMergeAndEmptyDiffCommits(t *testing.T) {
 	if len(seq) != 2 || seq[0] != idEmpty || seq[1] != idMod {
 		t.Errorf("Since(merge) = %v, want [%s %s]", seq, idEmpty, idMod)
 	}
+}
+
+// TestCommitCleansPaths: a key that cleans to an existing path edits that
+// file; it is neither a delete nor a second file.
+func TestCommitCleansPaths(t *testing.T) {
+	r := newTestRepo(t)
+	id := r.Commit(sig("Alice"), "edit a via ./", map[string]*string{
+		"./drivers/a.c": strp("int a = 2;\n"),
+	}, false)
+	c, err := r.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Changes) != 1 || c.Changes[0].Path != "drivers/a.c" || c.Changes[0].Old == "" ||
+		r.Blob(c.Changes[0].New) != "int a = 2;\n" {
+		t.Fatalf("Changes = %+v, want one edit of drivers/a.c", c.Changes)
+	}
+	tr, err := r.CheckoutTree(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := tr.Read("drivers/a.c"); err != nil || got != "int a = 2;\n" {
+		t.Errorf("checkout drivers/a.c = %q, %v", got, err)
+	}
+	if tr.Len() != 3 {
+		t.Errorf("checkout has %d files, want 3", tr.Len())
+	}
+
+	// Keys that clean to one path are applied once; the last in sorted key
+	// order wins ("./drivers/b.c" < "drivers/b.c").
+	id = r.Commit(sig("Bob"), "two spellings", map[string]*string{
+		"./drivers/b.c": nil,
+		"drivers/b.c":   strp("int b = 3;\n"),
+	}, false)
+	if c, _ := r.Get(id); len(c.Changes) != 1 || r.Blob(c.Changes[0].New) != "int b = 3;\n" {
+		t.Fatalf("Changes = %+v, want one edit of drivers/b.c", c.Changes)
+	}
+}
+
+// replayHistory commits n seeded random commits over a pool of paths,
+// adding, editing and deleting files, and returns the IDs with the file
+// map after each commit, tracked independently of the repository.
+func replayHistory(t *testing.T, seed int64, n int) (*Repo, []string, []map[string]string) {
+	t.Helper()
+	base := fstree.New()
+	files := map[string]string{}
+	for i := 0; i < 40; i++ {
+		p := fmt.Sprintf("d%d/f%02d.c", i%5, i)
+		base.Write(p, "v0 "+p)
+		files[p] = "v0 " + p
+	}
+	r := NewRepo(base, sig("Root"))
+	ids := []string{r.Head()}
+	states := []map[string]string{copyFiles(files)}
+	rnd := rand.New(rand.NewSource(seed))
+	for i := 1; i <= n; i++ {
+		edit := map[string]*string{}
+		for k := 1 + rnd.Intn(4); k > 0; k-- {
+			p := fmt.Sprintf("d%d/f%02d.c", rnd.Intn(5), rnd.Intn(60))
+			if rnd.Intn(3) == 0 {
+				edit[p] = nil
+				delete(files, p)
+				continue
+			}
+			content := fmt.Sprintf("v%d %s", i, p)
+			edit[p] = &content
+			files[p] = content
+		}
+		ids = append(ids, r.Commit(sig("A"), fmt.Sprintf("c%d", i), edit, false))
+		states = append(states, copyFiles(files))
+	}
+	return r, ids, states
+}
+
+func copyFiles(m map[string]string) map[string]string {
+	out := make(map[string]string, len(m))
+	for p, c := range m {
+		out[p] = c
+	}
+	return out
+}
+
+func sameFiles(tr *fstree.Tree, want map[string]string) error {
+	if tr.Len() != len(want) {
+		return fmt.Errorf("%d files, want %d", tr.Len(), len(want))
+	}
+	paths := tr.Paths()
+	if len(paths) != len(want) {
+		return fmt.Errorf("Paths lists %d files, want %d", len(paths), len(want))
+	}
+	for _, p := range paths {
+		got, _ := tr.Read(p)
+		if c, ok := want[p]; !ok || got != c {
+			return fmt.Errorf("%s = %q, want %q (present: %v)", p, got, c, ok)
+		}
+	}
+	return nil
+}
+
+// TestCheckoutEqualsReplay: every commit's checkout equals a replay of the
+// history from the root, over adds, edits and deletes that cross several
+// checkpoints and fold the tip's overlay several times.
+func TestCheckoutEqualsReplay(t *testing.T) {
+	n := checkpointEvery*5 + 7
+	r, ids, states := replayHistory(t, 3, n)
+	if len(r.checkpoints) != n/checkpointEvery+1 {
+		t.Fatalf("%d checkpoints for %d commits", len(r.checkpoints), n)
+	}
+	for i, id := range ids {
+		tr, err := r.CheckoutTree(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameFiles(tr, states[i]); err != nil {
+			t.Fatalf("checkout of commit %d: %v", i, err)
+		}
+		// A write to the checkout reaches neither the repository nor a
+		// later checkout of the same commit.
+		tr.Write("d0/f00.c", "scribble")
+		_ = tr.Remove("d1/f01.c")
+	}
+	for i := len(ids) - 1; i >= 0; i -= 17 {
+		tr, _ := r.CheckoutTree(ids[i])
+		if err := sameFiles(tr, states[i]); err != nil {
+			t.Fatalf("second checkout of commit %d: %v", i, err)
+		}
+	}
+	for p, want := range states[n] {
+		if got, err := r.ReadTip(p); err != nil || got != want {
+			t.Errorf("tip %s = %q, %v; want %q", p, got, err, want)
+		}
+	}
+}
+
+// TestConcurrentCheckouts is the service pattern under the race detector:
+// several goroutines check out and read the same range of commits, so
+// they clone the same checkpoints at once, while others write to their
+// own checkouts.
+func TestConcurrentCheckouts(t *testing.T) {
+	r, ids, states := replayHistory(t, 5, checkpointEvery*3)
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := checkpointEvery - 4; i < len(ids); i += 3 {
+				tr, err := r.CheckoutTree(ids[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if g%2 == 1 {
+					for k := 0; k < 12; k++ {
+						tr.Write(fmt.Sprintf("d%d/w%d-%d.c", k%5, g, k), "w")
+					}
+					_ = tr.Remove("d0/f00.c")
+					_ = tr.Clone()
+					continue
+				}
+				if err := sameFiles(tr, states[i]); err != nil {
+					t.Errorf("goroutine %d, commit %d: %v", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
