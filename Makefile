@@ -46,12 +46,14 @@ audit-smoke:
 	@GO="$(GO)" sh scripts/audit-smoke.sh
 
 # Short fuzz pass, 10 s per target: malformed #if input must never panic
-# the presence analysis, a malformed makefile must never panic the Kbuild
-# walk or make Reachable disagree with FileGate, and copy-on-write trees
-# must answer every query like plain maps, with no write leaking between
-# a clone and its source.
+# the presence analysis, the preprocessor must take an #if branch exactly
+# when its presence formula says so, a malformed makefile must never
+# panic the Kbuild walk or make Reachable disagree with FileGate, and
+# copy-on-write trees must answer every query like plain maps, with no
+# write leaking between a clone and its source.
 fuzz:
 	$(GO) test ./internal/presence/ -run '^$$' -fuzz FuzzPresenceParse -fuzztime 10s
+	$(GO) test ./internal/presence/ -run '^$$' -fuzz FuzzStaticDynamicAgree -fuzztime 10s
 	$(GO) test ./internal/kbuild/ -run '^$$' -fuzz FuzzParseMakefile -fuzztime 10s
 	$(GO) test ./internal/fstree/ -run '^$$' -fuzz FuzzTreeOps -fuzztime 10s
 

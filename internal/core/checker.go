@@ -14,6 +14,7 @@ import (
 	"jmake/internal/fstree"
 	"jmake/internal/kbuild"
 	"jmake/internal/kconfig"
+	"jmake/internal/presence"
 	"jmake/internal/textdiff"
 	"jmake/internal/trace"
 	"jmake/internal/vclock"
@@ -32,11 +33,8 @@ type Checker struct {
 	// results memoizes preprocessing/compilation verdicts across builders
 	// and (via Session) across patches; nil disables result caching.
 	results *ccache.Cache
-	// statics caches per-architecture Kconfig knowledge for the static
-	// presence pre-pass (Options.StaticPresence).
-	statics map[string]*archStatic
-	// warm is the session's follower-mode cache/ledger state (nil outside
-	// warm sessions; nil leaves every path byte-for-byte unchanged).
+	// warm is the session's cache and ledger state: per-arch static
+	// Kconfig knowledge, set-up marks and saved-effective-time ledgers.
 	warm *warmState
 
 	// run holds the per-patch resilience state (fault injector, budget
@@ -70,31 +68,18 @@ func configTraceKey(parts ...string) uint64 {
 }
 
 // NewChecker builds a checker over tree (the snapshot after applying the
-// patch under test). configs may be shared across checkers to amortize
-// Kconfig evaluation; pass nil for a private provider. The checker always
-// gets a token cache (private here, shared via Session.Checker), so
-// preprocessing memoization is never silently lost.
+// patch under test) from a fresh Session over the same tree. configs may
+// be shared across checkers to amortize Kconfig evaluation; pass nil for
+// the session's private provider.
 func NewChecker(tree *fstree.Tree, model *vclock.Model, configs *ConfigProvider, opts Options) (*Checker, error) {
-	meta, err := kbuild.LoadMeta(tree)
+	s, err := NewSession(tree)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, err
 	}
-	if configs == nil {
-		configs = NewConfigProvider()
+	if configs != nil {
+		s.configs = configs
 	}
-	arches := kbuild.DiscoverArches(tree, meta)
-	return &Checker{
-		tree:    tree,
-		model:   model,
-		opts:    opts.withDefaults(),
-		meta:    meta,
-		arches:  arches,
-		archIx:  buildArchIndex(tree, arches),
-		configs: configs,
-		tokens:  cpp.NewTokenCache(),
-		results: ccache.New(),
-		statics: make(map[string]*archStatic),
-	}, nil
+	return s.Checker(tree, model, opts), nil
 }
 
 // mutEntry tracks one pending mutation during the run.
@@ -135,9 +120,26 @@ type fileState struct {
 	// witness stamp this file's coverage statistics.
 	validatedOK bool
 	lastErr     error
+	// pres is the file's presence analysis, built on first use (presenceOf).
+	pres *presence.File
 	// static is the presence pre-pass result (nil without
 	// Options.StaticPresence).
 	static *staticInfo
+}
+
+// presenceOf returns the presence analysis of the file's post-patch
+// content, built once and shared by the prescan, the static pre-pass,
+// escape classification and coverage synthesis. nil when the file cannot
+// be read.
+func (c *Checker) presenceOf(fs *fileState) *presence.File {
+	if fs.pres == nil {
+		content, err := c.tree.Read(fs.path)
+		if err != nil {
+			return nil
+		}
+		fs.pres = presence.Analyze(fs.path, content)
+	}
+	return fs.pres
 }
 
 func (fs *fileState) pending() []*mutEntry {
@@ -464,21 +466,19 @@ func (c *Checker) newBuilders(report *PatchReport, mutatedTree *fstree.Tree, arc
 	ob.Results = c.results
 	ib.Trace = c.rec
 	ob.Trace = c.rec
-	if c.warm != nil {
-		// Warm-session set-up: once some builder for this (arch, config)
-		// context ran its one-time make set-up, later builders behave like
-		// a build directory that survived — the full set-up price is still
-		// charged into the report (byte-identity), but lands in the saved
-		// ledger instead of effective time.
-		wasWarm := c.warm.markSetup(archName + "|" + choice.Kind.String() + "|" + choice.Path)
-		ib.WarmSetup, ib.SetupSaved = wasWarm, &c.warm.setupSavedNS
-		ob.WarmSetup, ob.SetupSaved = wasWarm, &c.warm.setupSavedNS
-	}
+	// Warm set-up: once some builder for this (arch, config) context ran
+	// its one-time make set-up, later builders behave like a build
+	// directory that survived — the full set-up price is still charged
+	// into the report (byte-identity), but lands in the saved ledger
+	// instead of effective time.
+	wasWarm := c.warm.markSetup(archName + "|" + choice.Kind.String() + "|" + choice.Path)
+	ib.WarmSetup, ib.SetupSaved = wasWarm, &c.warm.setupSavedNS
+	ob.WarmSetup, ob.SetupSaved = wasWarm, &c.warm.setupSavedNS
 	d := c.model.ConfigCreate(symbols, report.Commit+":"+archName+":"+choice.Kind.String()+choice.Path)
 	report.ConfigDurations = append(report.ConfigDurations, d)
 	c.run.charge(d)
-	if c.warm != nil && hit {
-		// The valuation came from the warm cache: the charge above stays
+	if hit {
+		// The valuation came from the session cache: the charge above stays
 		// (reports price every `make *config` run), the effective cost is
 		// credited back.
 		c.warm.addConfigSaved(d)

@@ -5,10 +5,10 @@ import (
 	"sort"
 	"strings"
 
-	"jmake/internal/csrc"
 	"jmake/internal/fstree"
 	"jmake/internal/kbuild"
 	"jmake/internal/kconfig"
+	"jmake/internal/presence"
 	"jmake/internal/trace"
 )
 
@@ -17,58 +17,33 @@ import (
 const maxCoverageConfigs = 4
 
 // coverageWants derives the targeted symbol wants that would activate the
-// region guarding an uncovered mutation: #ifdef CONFIG_X wants X on (plus
-// its dependency chain), #ifndef / #else want X off. Guards that no
-// configuration can influence (MODULE, #if 0, non-CONFIG) yield nil.
-func (c *Checker) coverageWants(f *csrc.File, m *mutEntry, kt *kconfig.Tree) map[string]kconfig.Value {
-	li, ok := f.LineAt(m.mut.Line)
-	if !ok || len(li.Conds) == 0 {
-		return nil
-	}
+// branches guarding an uncovered mutation: for each enclosing branch,
+// outermost first, one satisfying assignment of its presence formula —
+// an option that must be on wants y (plus its dependency chain), one that
+// must be off wants n. Branches no configuration can influence (MODULE,
+// non-CONFIG macros, undeclared options, unsatisfiable or over-wide
+// formulas) yield nil.
+func coverageWants(pf *presence.File, m *mutEntry, kt *kconfig.Tree) map[string]kconfig.Value {
 	wants := make(map[string]kconfig.Value)
-	for _, fr := range li.Conds {
-		arg := strings.TrimSpace(fr.Arg)
-		switch fr.Kind {
-		case csrc.CondIfdef:
-			name, isConfig := strings.CutPrefix(arg, "CONFIG_")
-			if !isConfig || kt.Symbol(name) == nil {
-				return nil // MODULE, undeclared, or non-config guard
+	for _, fr := range pf.Frames(m.mut.Line) {
+		assign, sat, exact := presence.SatAssignment(fr.Cond)
+		if !sat || !exact {
+			return nil
+		}
+		for _, sym := range presence.Symbols(fr.Cond) {
+			if !presence.IsConfigSymbol(sym) {
+				return nil
+			}
+			name := strings.TrimPrefix(sym, "CONFIG_")
+			if !assign[sym] {
+				wants[name] = kconfig.No
+				continue
+			}
+			if kt.Symbol(name) == nil {
+				return nil
 			}
 			for k, v := range kt.DependencyWants(name, kconfig.Yes) {
 				wants[k] = v
-			}
-		case csrc.CondIfndef:
-			name, isConfig := strings.CutPrefix(arg, "CONFIG_")
-			if !isConfig {
-				return nil
-			}
-			wants[name] = kconfig.No
-		case csrc.CondElse:
-			name, isConfig := strings.CutPrefix(arg, "CONFIG_")
-			if !isConfig {
-				return nil
-			}
-			if fr.OpenKind == csrc.CondIfndef {
-				for k, v := range kt.DependencyWants(name, kconfig.Yes) {
-					wants[k] = v
-				}
-			} else {
-				wants[name] = kconfig.No
-			}
-		case csrc.CondIf, csrc.CondElif:
-			// General expressions: only the literal-constant cases are
-			// hopeless; for CONFIG-mentioning expressions, drive every
-			// mentioned symbol on. `#if 0` yields no wants and is skipped.
-			if !strings.Contains(arg, "CONFIG_") {
-				return nil
-			}
-			for _, name := range configVarsIn(arg) {
-				if kt.Symbol(name) == nil {
-					return nil
-				}
-				for k, v := range kt.DependencyWants(name, kconfig.Yes) {
-					wants[k] = v
-				}
 			}
 		}
 	}
@@ -76,26 +51,6 @@ func (c *Checker) coverageWants(f *csrc.File, m *mutEntry, kt *kconfig.Tree) map
 		return nil
 	}
 	return wants
-}
-
-func configVarsIn(expr string) []string {
-	var out []string
-	rest := expr
-	for {
-		i := strings.Index(rest, "CONFIG_")
-		if i < 0 {
-			return out
-		}
-		rest = rest[i+len("CONFIG_"):]
-		j := 0
-		for j < len(rest) && isVarChar(rest[j]) {
-			j++
-		}
-		if j > 0 {
-			out = append(out, rest[:j])
-		}
-		rest = rest[j:]
-	}
 }
 
 func wantsKey(wants map[string]kconfig.Value) string {
@@ -137,16 +92,15 @@ func (c *Checker) processCoverageConfigs(report *PatchReport, mutatedTree *fstre
 		if len(pending) == 0 {
 			continue
 		}
-		content, err := c.tree.Read(fs.path)
-		if err != nil {
+		pf := c.presenceOf(fs)
+		if pf == nil {
 			continue
 		}
-		f := csrc.Analyze(content)
 		for _, m := range pending {
 			if budget <= 0 || c.run.halted() {
 				break
 			}
-			wants := c.coverageWants(f, m, kt)
+			wants := coverageWants(pf, m, kt)
 			if wants == nil {
 				continue
 			}

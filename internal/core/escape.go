@@ -6,65 +6,111 @@ import (
 	"jmake/internal/csrc"
 	"jmake/internal/kbuild"
 	"jmake/internal/kconfig"
+	"jmake/internal/presence"
 )
 
 // classifyEscapes diagnoses why each uncovered mutation never reached the
 // compiler, reproducing the taxonomy of Table IV mechanically: the
-// enclosing conditional stack of the changed line is re-examined against
-// the Kconfig database and the host allyesconfig valuation.
+// presence formulas of the changed line's enclosing branches are read
+// against the Kconfig database and the host allyesconfig valuation.
 func (c *Checker) classifyEscapes(fs *fileState) []Escape {
-	content, err := c.tree.Read(fs.path)
-	if err != nil {
+	pf := c.presenceOf(fs)
+	if pf == nil {
 		return nil
 	}
-	f := csrc.Analyze(content)
-
-	// Host-architecture Kconfig knowledge.
-	var kt *kconfig.Tree
-	var allyes *kconfig.Config
-	if arch, ok := c.arches[kbuild.HostArch]; ok {
-		if ktree, kerr := c.configs.KconfigTree(c.tree, arch); kerr == nil {
-			kt = ktree
-			if cfg, _, cerr := c.configs.Get(c.tree, arch, ConfigChoice{Kind: ConfigAllYes}, nil); cerr == nil {
-				allyes = cfg
-			}
-		}
-	}
-
+	host := newHostAllyes(c)
 	var out []Escape
 	for _, m := range fs.pending() {
 		if m.dead {
 			continue // reported as statically dead, not as an escape
 		}
-		reason := c.classifyOne(f, fs, m, kt, allyes)
-		out = append(out, Escape{Mutation: m.mut, Reason: reason})
+		out = append(out, Escape{Mutation: m.mut, Reason: host.classify(pf, fs, m)})
 	}
 	return out
 }
 
-func (c *Checker) classifyOne(f *csrc.File, fs *fileState, m *mutEntry, kt *kconfig.Tree, allyes *kconfig.Config) EscapeReason {
-	li, ok := f.LineAt(m.mut.Line)
-	if !ok {
-		return EscapeOther
+// hostAllyes is the host allyesconfig as the classifier reads it: MODULE
+// is undefined, and an option is on when some architecture declares it
+// and its host value is not n.
+type hostAllyes struct {
+	c      *Checker
+	kt     *kconfig.Tree   // nil when the host Kconfig is unavailable
+	allyes *kconfig.Config // nil when the valuation failed
+}
+
+// newHostAllyes fetches the host valuation once; the classifier reads
+// every value of the file from this one fetch.
+func newHostAllyes(c *Checker) hostAllyes {
+	h := hostAllyes{c: c}
+	if arch, ok := c.arches[kbuild.HostArch]; ok {
+		if kt, err := c.configs.KconfigTree(c.tree, arch); err == nil {
+			h.kt = kt
+			if cfg, _, err := c.configs.Get(c.tree, arch, ConfigChoice{Kind: ConfigAllYes}, nil); err == nil {
+				h.allyes = cfg
+			}
+		}
 	}
+	return h
+}
+
+// option reports whether Kconfig option name is declared anywhere and
+// whether the host allyesconfig turns it on.
+func (h hostAllyes) option(name string) (declared, on bool) {
+	if h.kt == nil {
+		return false, false
+	}
+	if h.kt.Symbol(name) != nil {
+		return true, h.allyes != nil && h.allyes.Value(name) != kconfig.No
+	}
+	// Not in the host tree; another architecture may declare it (that is
+	// precisely the cross-arch case). Check the others before concluding
+	// "never set in the kernel".
+	for _, a := range h.c.arches {
+		if a.Name == kbuild.HostArch {
+			continue
+		}
+		if akt, err := h.c.configs.KconfigTree(h.c.tree, a); err == nil && akt.Symbol(name) != nil {
+			return true, false
+		}
+	}
+	return false, false
+}
+
+// know resolves a formula symbol under the host allyesconfig; opaque
+// symbols stay unknown.
+func (h hostAllyes) know(sym string) (value, known bool) {
+	if isModuleSymbol(sym) {
+		return false, true
+	}
+	if !presence.IsConfigSymbol(sym) {
+		return false, false
+	}
+	_, on := h.option(strings.TrimPrefix(sym, "CONFIG_"))
+	return on, true
+}
+
+func isModuleSymbol(sym string) bool { return sym == "defined(MODULE)" || sym == "?MODULE" }
+
+func (h hostAllyes) classify(pf *presence.File, fs *fileState, m *mutEntry) EscapeReason {
+	frames := pf.Frames(m.mut.Line)
 
 	// An unconditional macro definition whose mutation never surfaced means
 	// no compiled code expands the macro. If the file does reference the
 	// macro, the reference itself must sit in dead code; keep the verdict
 	// only when no use exists at all (this also keeps the §VII prescan from
 	// flagging macros that are plainly used).
-	if m.mut.Kind == "define" && len(li.Conds) == 0 {
-		if !macroUsedInFile(f, li.MacroName, li.MacroStart) {
+	if m.mut.Kind == "define" && len(frames) == 0 {
+		li, ok := pf.Src.LineAt(m.mut.Line)
+		if ok && !macroUsedInFile(pf.Src, li.MacroName, li.MacroStart) {
 			return EscapeUnusedMacro
 		}
 		return EscapeOther
 	}
 
-	// Walk enclosing conditionals innermost-first; the innermost frame that
+	// Walk enclosing branches innermost-first; the innermost one that
 	// explains exclusion wins.
-	for i := len(li.Conds) - 1; i >= 0; i-- {
-		fr := li.Conds[i]
-		if r, found := c.classifyFrame(f, fs, fr); found {
+	for i := len(frames) - 1; i >= 0; i-- {
+		if r, found := h.branchReason(pf, fs, frames[i]); found {
 			return r
 		}
 	}
@@ -74,168 +120,37 @@ func (c *Checker) classifyOne(f *csrc.File, fs *fileState, m *mutEntry, kt *kcon
 	return EscapeOther
 }
 
-func (c *Checker) classifyFrame(f *csrc.File, fs *fileState, fr csrc.CondFrame) (EscapeReason, bool) {
-	arg := strings.TrimSpace(fr.Arg)
-	switch fr.Kind {
-	case csrc.CondIf:
-		if arg == "0" {
-			return EscapeIfZero, true
-		}
-		return c.classifyExprFrame(f, fs, fr, arg, false)
-	case csrc.CondIfdef:
-		return c.classifyVarFrame(f, fs, fr, arg, false)
-	case csrc.CondIfndef:
-		return c.classifyVarFrame(f, fs, fr, arg, true)
-	case csrc.CondElse:
-		if len(fr.Prior) > 0 {
-			// The region requires every earlier branch of the chain false;
-			// examine them all, not just the opening one.
-			return c.classifyPriorBranches(f, fs, fr)
-		}
-		if fr.OpenKind == csrc.CondIf && strings.TrimSpace(fr.Arg) == "0" {
-			return EscapeOther, false // #else of #if 0 is compiled; not the reason
-		}
-		negated := fr.OpenKind != csrc.CondIfndef
-		return c.classifyVarFrame(f, fs, fr, arg, negated)
-	case csrc.CondElif:
-		// The branch's own expression can explain the miss, or any earlier
-		// branch the chain negates can: an #elif is not evaluated in
-		// isolation.
-		if r, found := c.classifyExprFrame(f, fs, fr, arg, false); found {
-			return r, true
-		}
-		return c.classifyPriorBranches(f, fs, fr)
+// branchReason explains a miss through one enclosing branch. A branch the
+// host allyesconfig takes, or whose formula it cannot decide, is not the
+// reason; otherwise the formula's symbols name it, in Table IV's order of
+// precedence.
+func (h hostAllyes) branchReason(pf *presence.File, fs *fileState, fr presence.Frame) (EscapeReason, bool) {
+	if fr.Cond == presence.False {
+		return EscapeIfZero, true
 	}
-	return EscapeOther, false
-}
-
-// classifyPriorBranches explains exclusion through the negated earlier
-// branches of an #elif/#else frame: the region requires every prior branch
-// false, so a prior branch that allyesconfig satisfies explains the miss.
-func (c *Checker) classifyPriorBranches(f *csrc.File, fs *fileState, fr csrc.CondFrame) (EscapeReason, bool) {
-	for _, pb := range fr.Prior {
-		arg := strings.TrimSpace(pb.Arg)
-		switch pb.Kind {
-		case csrc.CondIfdef:
-			if r, found := c.classifyVarFrame(f, fs, fr, arg, true); found {
-				return r, true
-			}
-		case csrc.CondIfndef:
-			if r, found := c.classifyVarFrame(f, fs, fr, arg, false); found {
-				return r, true
-			}
-		case csrc.CondIf, csrc.CondElif:
-			if arg == "0" {
-				continue // a never-taken branch excludes nothing
-			}
-			if c.allyesSatisfies(arg) {
-				return EscapeIfndefOrElse, true
-			}
-		}
-	}
-	return EscapeOther, false
-}
-
-// allyesSatisfies coarsely reports whether allyesconfig satisfies a branch
-// expression: it mentions CONFIG variables, negates nothing, and every
-// mentioned variable is declared and on. Good enough for Table IV
-// bucketing; anything subtler falls through to EscapeOther.
-func (c *Checker) allyesSatisfies(expr string) bool {
-	if strings.Contains(expr, "!") || !strings.Contains(expr, "CONFIG_") {
-		return false
-	}
-	names := configVarsIn(expr)
-	if len(names) == 0 {
-		return false
-	}
-	for _, name := range names {
-		declared, value := c.symbolInfo(name)
-		if !declared || value == kconfig.No {
-			return false
-		}
-	}
-	return true
-}
-
-// classifyVarFrame handles a frame controlled by a single variable.
-// negated means the region is active when the variable is UNdefined.
-func (c *Checker) classifyVarFrame(f *csrc.File, fs *fileState, fr csrc.CondFrame, varName string, negated bool) (EscapeReason, bool) {
-	if varName == "MODULE" {
-		if negated {
-			return EscapeOther, false // #ifndef MODULE is active in allyes builds
-		}
-		return EscapeIfdefModule, true
-	}
-	name, isConfig := strings.CutPrefix(varName, "CONFIG_")
-	if !isConfig {
-		// A plain (non-CONFIG) guard: if it is defined by the compiler or
-		// headers the region would be active; treat an unexplained miss
-		// conservatively.
+	if v, known := presence.EvalPartial(fr.Cond, h.know); v || !known {
 		return EscapeOther, false
 	}
-	declared, value := c.symbolInfo(name)
-	if negated {
-		// #ifndef CONFIG_X (or #else of #ifdef): excluded when X is set.
-		if declared && value != kconfig.No {
-			if c.siblingChanged(f, fs, fr) {
-				return EscapeBothBranches, true
-			}
-			return EscapeIfndefOrElse, true
+	undeclared, off := false, false
+	for _, sym := range presence.Symbols(fr.Cond) {
+		if isModuleSymbol(sym) {
+			return EscapeIfdefModule, true
 		}
-		return EscapeOther, false
-	}
-	// #ifdef CONFIG_X: excluded when X is off.
-	if !declared {
-		return EscapeIfdefNeverSet, true
-	}
-	if value == kconfig.No {
-		if c.siblingChanged(f, fs, fr) {
-			return EscapeBothBranches, true
+		if presence.IsConfigSymbol(sym) {
+			declared, on := h.option(strings.TrimPrefix(sym, "CONFIG_"))
+			undeclared = undeclared || !declared
+			off = off || declared && !on
 		}
-		return EscapeIfdefNotAllyes, true
-	}
-	return EscapeOther, false
-}
-
-// classifyExprFrame handles #if/#elif with a general expression by
-// examining the CONFIG variables it mentions.
-func (c *Checker) classifyExprFrame(f *csrc.File, fs *fileState, fr csrc.CondFrame, expr string, negated bool) (EscapeReason, bool) {
-	if strings.Contains(expr, "MODULE") && !strings.Contains(expr, "CONFIG_") {
-		return EscapeIfdefModule, true
-	}
-	rest := expr
-	sawDeclaredOff := false
-	sawUndeclared := false
-	for {
-		i := strings.Index(rest, "CONFIG_")
-		if i < 0 {
-			break
-		}
-		rest = rest[i+len("CONFIG_"):]
-		j := 0
-		for j < len(rest) && (rest[j] == '_' || rest[j] >= 'A' && rest[j] <= 'Z' ||
-			rest[j] >= '0' && rest[j] <= '9' || rest[j] >= 'a' && rest[j] <= 'z') {
-			j++
-		}
-		declared, value := c.symbolInfo(rest[:j])
-		if !declared {
-			sawUndeclared = true
-		} else if value == kconfig.No {
-			sawDeclaredOff = true
-		}
-		rest = rest[j:]
 	}
 	switch {
-	case sawUndeclared:
+	case undeclared:
 		return EscapeIfdefNeverSet, true
-	case sawDeclaredOff:
-		if c.siblingChanged(f, fs, fr) {
-			return EscapeBothBranches, true
-		}
+	case siblingChanged(pf.Src, fs, fr.CondFrame):
+		return EscapeBothBranches, true
+	case off:
 		return EscapeIfdefNotAllyes, true
 	}
-	_ = negated
-	return EscapeOther, false
+	return EscapeIfndefOrElse, true
 }
 
 // macroUsedInFile reports whether name occurs as a token outside its own
@@ -270,43 +185,10 @@ func isIdentByte(c byte) bool {
 	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
 }
 
-// symbolInfo reports whether a Kconfig symbol is declared anywhere and its
-// host-allyesconfig value.
-func (c *Checker) symbolInfo(name string) (declared bool, value kconfig.Value) {
-	arch, ok := c.arches[kbuild.HostArch]
-	if !ok {
-		return false, kconfig.No
-	}
-	kt, err := c.configs.KconfigTree(c.tree, arch)
-	if err != nil {
-		return false, kconfig.No
-	}
-	sym := kt.Symbol(name)
-	if sym == nil {
-		// Not in the host tree; another architecture may declare it (that is
-		// precisely the cross-arch case). Check the others before concluding
-		// "never set in the kernel".
-		for _, a := range c.arches {
-			if a.Name == kbuild.HostArch {
-				continue
-			}
-			if akt, aerr := c.configs.KconfigTree(c.tree, a); aerr == nil && akt.Symbol(name) != nil {
-				return true, kconfig.No // declared elsewhere, off here
-			}
-		}
-		return false, kconfig.No
-	}
-	cfg, _, err := c.configs.Get(c.tree, arch, ConfigChoice{Kind: ConfigAllYes}, nil)
-	if err != nil {
-		return true, kconfig.No
-	}
-	return true, cfg.Value(name)
-}
-
 // siblingChanged reports whether the patch also changed the opposite
 // branch of fr's conditional — the "change under both #ifdef and #else"
 // case of Table IV, which no single configuration can cover.
-func (c *Checker) siblingChanged(f *csrc.File, fs *fileState, fr csrc.CondFrame) bool {
+func siblingChanged(f *csrc.File, fs *fileState, fr csrc.CondFrame) bool {
 	for _, m := range fs.muts {
 		li, ok := f.LineAt(m.mut.Line)
 		if !ok || len(li.Conds) == 0 {

@@ -29,8 +29,8 @@ type Session struct {
 	configs *ConfigProvider
 	tokens  *cpp.TokenCache
 	results *ccache.Cache
-	// warm holds the follower-session caches and saved-effective-time
-	// ledgers (nil unless EnableWarm was called; nil changes nothing).
+	// warm holds the session-scoped static Kconfig knowledge, set-up marks
+	// and saved-effective-time ledgers.
 	warm *warmState
 }
 
@@ -53,6 +53,7 @@ func NewSession(base *fstree.Tree) (*Session, error) {
 		configs: NewConfigProviderIn(reg),
 		tokens:  cpp.NewTokenCacheIn(reg),
 		results: ccache.NewIn(reg),
+		warm:    newWarmState(),
 	}, nil
 }
 
@@ -82,27 +83,15 @@ func (s *Session) ResultCacheStats() (ccache.StatsSet, bool) {
 	return s.results.Stats(), true
 }
 
-// EnableWarm switches the session into warm (follower) mode: checkers
-// built from it share per-session arch-choice and static-Kconfig caches
-// and credit cache-served work into saved-effective-time ledgers. Reports
-// stay byte-identical to a cold session's — warmth only changes how much
-// effective time a check costs, never what it says. Idempotent.
-func (s *Session) EnableWarm() {
-	if s.warm == nil {
-		s.warm = newWarmState()
-	}
-}
+// EnableWarm is a no-op kept for callers written when warmth was opt-in:
+// every Session is warm. Its checkers share per-arch static Kconfig
+// knowledge and credit cache-served work into saved-effective-time
+// ledgers; reports are byte-identical either way — warmth only changes
+// how much effective time a check costs, never what it says.
+func (s *Session) EnableWarm() {}
 
-// WarmEnabled reports whether EnableWarm was called.
-func (s *Session) WarmEnabled() bool { return s.warm != nil }
-
-// WarmSaved snapshots the warm-session ledgers (zero when not warm).
-func (s *Session) WarmSaved() WarmLedger {
-	if s.warm == nil {
-		return WarmLedger{}
-	}
-	return s.warm.ledger()
-}
+// WarmSaved snapshots the session's saved-effective-time ledgers.
+func (s *Session) WarmSaved() WarmLedger { return s.warm.ledger() }
 
 // RefreshSummary reports what a Refresh invalidated, for follower
 // per-commit statistics.
@@ -119,8 +108,7 @@ type RefreshSummary struct {
 	// ConfigsInvalidated lists architectures whose cached valuations were
 	// dropped individually (empty when KconfigReset dropped them all).
 	ConfigsInvalidated []string
-	// StaticsDropped / SetupDropped count warm-cache entries invalidated
-	// (always zero for a non-warm session).
+	// StaticsDropped / SetupDropped count warm-cache entries invalidated.
 	StaticsDropped int
 	SetupDropped   int
 }
@@ -203,17 +191,15 @@ func (s *Session) Refresh(tree *fstree.Tree, changed []string) (RefreshSummary, 
 		s.configs.InvalidateAll()
 		sum.KconfigReset = true
 	}
-	if s.warm != nil {
-		if archTouched || kconfigTouched {
-			sum.StaticsDropped += s.warm.dropAllStatics()
-		}
-		switch {
-		case kconfigTouched || makefileTouched:
-			sum.SetupDropped += s.warm.dropAllSetup()
-		case archTouched:
-			for _, a := range sortedKeys(archSet) {
-				sum.SetupDropped += s.warm.dropSetupArch(a)
-			}
+	if archTouched || kconfigTouched {
+		sum.StaticsDropped += s.warm.dropAllStatics()
+	}
+	switch {
+	case kconfigTouched || makefileTouched:
+		sum.SetupDropped += s.warm.dropAllSetup()
+	case archTouched:
+		for _, a := range sortedKeys(archSet) {
+			sum.SetupDropped += s.warm.dropSetupArch(a)
 		}
 	}
 	return sum, nil

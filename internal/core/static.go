@@ -31,7 +31,6 @@ import (
 
 // staticInfo holds the per-file result of the presence pre-pass.
 type staticInfo struct {
-	fc *presence.File
 	// predict[arch][mutID] reports whether the mutation's marker is
 	// predicted to appear in the file's .i under that architecture's
 	// allyesconfig. Mutations whose condition depends on something the
@@ -43,7 +42,8 @@ type staticInfo struct {
 	predCount map[string]int
 }
 
-// archStatic caches per-architecture Kconfig knowledge for the pre-pass.
+// archStatic is per-architecture Kconfig knowledge for the pre-pass,
+// cached for the session's lifetime (warmState.staticArch).
 type archStatic struct {
 	arch *kbuild.Arch
 	kt   *kconfig.Tree
@@ -52,32 +52,6 @@ type archStatic struct {
 	// become a hard constraint.
 	selects map[string]bool
 	err     error
-}
-
-func (c *Checker) staticArch(name string) *archStatic {
-	if c.warm != nil {
-		// Warm sessions promote this cache to session scope: the Kconfig
-		// walk happens once per architecture per session, not per commit.
-		// Session.Refresh drops entries when their inputs change.
-		return c.warm.staticArch(c, name)
-	}
-	if as, ok := c.statics[name]; ok {
-		return as
-	}
-	arch := c.arches[name]
-	if arch == nil {
-		return nil
-	}
-	as := &archStatic{arch: arch}
-	as.kt, as.err = c.configs.KconfigTree(c.tree, arch)
-	if as.err == nil {
-		as.selects = as.kt.SelectTargets()
-	}
-	if c.statics == nil {
-		c.statics = make(map[string]*archStatic)
-	}
-	c.statics[name] = as
-	return as
 }
 
 // archGate pairs an architecture's Kconfig knowledge with the file's Kbuild
@@ -112,12 +86,11 @@ func (c *Checker) staticPrepass(report *PatchReport, cFiles, hFiles []*fileState
 // mutations dead when unsatisfiable under every candidate architecture, and
 // predicts per-architecture allyesconfig visibility for the live ones.
 func (c *Checker) staticAnalyzeC(fs *fileState) {
-	content, err := c.tree.Read(fs.path)
-	if err != nil {
+	pf := c.presenceOf(fs)
+	if pf == nil {
 		return
 	}
 	si := &staticInfo{
-		fc:        presence.Analyze(fs.path, content),
 		predict:   make(map[string]map[string]bool),
 		predCount: make(map[string]int),
 	}
@@ -136,10 +109,10 @@ func (c *Checker) staticAnalyzeC(fs *fileState) {
 	ags := c.archGates(fs.path, archNames, true)
 
 	for _, m := range fs.muts {
-		m.dead = condDead(si.fc.LineCond(m.mut.Line), ags)
+		m.dead = condDead(pf.LineCond(m.mut.Line), ags)
 	}
 	for _, ag := range ags {
-		c.predictArch(fs, si, ag)
+		c.predictArch(fs, pf, si, ag)
 	}
 }
 
@@ -149,19 +122,17 @@ func (c *Checker) staticAnalyzeC(fs *fileState) {
 // alone). Predictions are not computed: which candidate .c witnesses a
 // header is not derivable from the header's own conditions.
 func (c *Checker) staticAnalyzeH(fs *fileState) {
-	content, err := c.tree.Read(fs.path)
-	if err != nil {
+	pf := c.presenceOf(fs)
+	if pf == nil {
 		return
 	}
-	si := &staticInfo{
-		fc:        presence.Analyze(fs.path, content),
+	fs.static = &staticInfo{
 		predict:   make(map[string]map[string]bool),
 		predCount: make(map[string]int),
 	}
-	fs.static = si
 	ags := c.archGates(fs.path, c.headerArches(fs.path), false)
 	for _, m := range fs.muts {
-		m.dead = condDead(si.fc.LineCond(m.mut.Line), ags)
+		m.dead = condDead(pf.LineCond(m.mut.Line), ags)
 	}
 }
 
@@ -191,7 +162,7 @@ func (c *Checker) headerArches(path string) []string {
 func (c *Checker) archGates(path string, archNames []string, gated bool) []archGate {
 	var out []archGate
 	for _, an := range archNames {
-		as := c.staticArch(an)
+		as := c.warm.staticArch(c, an)
 		if as == nil {
 			continue
 		}
@@ -238,7 +209,7 @@ func archAlive(as *archStatic, cond presence.Formula, gate *kbuild.Gate) bool {
 // conditions the model fully resolves produce a prediction; define-kind
 // mutations never do (their markers surface at macro use sites, not at the
 // definition line).
-func (c *Checker) predictArch(fs *fileState, si *staticInfo, ag archGate) {
+func (c *Checker) predictArch(fs *fileState, pf *presence.File, si *staticInfo, ag archGate) {
 	as, gate := ag.as, ag.gate
 	if as.err != nil || as.arch.Broken || gate == nil {
 		return
@@ -279,7 +250,7 @@ func (c *Checker) predictArch(fs *fileState, si *staticInfo, ag archGate) {
 		if m.dead || m.mut.Kind == "define" {
 			continue
 		}
-		v, known := presence.EvalPartial(si.fc.LineCond(m.mut.Line), know)
+		v, known := presence.EvalPartial(pf.LineCond(m.mut.Line), know)
 		if !known {
 			continue
 		}

@@ -7,9 +7,9 @@ import (
 )
 
 // warmState carries the per-session caches and effective-time ledgers that
-// make a long-lived follower session cheap between commits. It exists only
-// when Session.EnableWarm was called; a nil warmState leaves every code
-// path exactly as it was, so one-shot invocations are untouched.
+// make a long-lived follower session cheap between commits. Every Session
+// has one; a one-shot check is simply a fresh session, whose caches start
+// empty and whose ledgers nobody reads.
 //
 // The dependability contract: nothing cached here may ever change a
 // report byte. Cached static Kconfig knowledge is a pure recomputation of
@@ -20,8 +20,8 @@ import (
 type warmState struct {
 	mu sync.Mutex
 	// statics caches per-arch Kconfig knowledge for the static presence
-	// pre-pass, promoted from the per-Checker map so a follower pays the
-	// Kconfig walk once per session instead of once per commit.
+	// pre-pass, so a session pays the Kconfig walk once per architecture
+	// instead of once per check.
 	statics map[string]*archStatic
 	// setupDone marks arch|kind|path builder contexts whose one-time make
 	// set-up already ran this session — the analogue of a build directory

@@ -6,12 +6,13 @@ import (
 	"strings"
 )
 
-// This file adds a *symbolic* mode to the #if expression machinery: instead
-// of evaluating a controlling expression against the current macro table
-// (expr.go), ParseCondExpr keeps `defined(NAME)` operators and identifiers
-// as leaves. Static consumers — presence-condition analysis, escape
-// classification — reason about these trees over an unknown configuration,
-// where "is CONFIG_FOO defined" is a free variable rather than a fact.
+// This file holds the one #if expression grammar. ParseCondExpr keeps
+// `defined(NAME)` operators and identifiers as leaves, so static consumers
+// — presence-condition analysis, escape classification — can reason about
+// a controlling expression over an unknown configuration, where "is
+// CONFIG_FOO defined" is a free variable rather than a fact. The
+// preprocessor parses its macro-expanded tokens with the same parser and
+// evaluates the tree against the current macro table (expr.go).
 
 // CondExpr is one node of a symbolically parsed #if/#elif controlling
 // expression.
@@ -64,22 +65,31 @@ func (e CondTernary) String() string {
 }
 
 // ParseCondExpr parses the argument of a #if or #elif symbolically. It
-// reuses the Lex tokenization and the binary-operator precedence table of
-// the dynamic evaluator, and never panics: malformed input yields an error.
+// never panics: malformed input yields an error.
 func ParseCondExpr(src string) (CondExpr, error) {
-	p := &condParser{ts: Lex(src)}
+	e, err := parseCondTokens(Lex(src))
+	if err != nil {
+		return nil, fmt.Errorf("cpp: %w", err)
+	}
+	return e, nil
+}
+
+// parseCondTokens parses one whole controlling expression. Its errors
+// carry no package prefix: ParseCondExpr adds one, the preprocessor adds
+// the directive's position instead.
+func parseCondTokens(ts []Token) (CondExpr, error) {
+	p := &condParser{ts: ts}
 	e, err := p.ternary()
 	if err != nil {
 		return nil, err
 	}
 	if t, ok := p.peek(); ok {
-		return nil, fmt.Errorf("cpp: unexpected token %q in #if expression", t.Text)
+		return nil, fmt.Errorf("unexpected token %q in #if expression", t.Text)
 	}
 	return e, nil
 }
 
-// condParser mirrors exprParser but builds CondExpr trees and needs no
-// preprocessor state.
+// condParser is a precedence-climbing parser producing CondExpr trees.
 type condParser struct {
 	ts  []Token
 	pos int
@@ -116,13 +126,27 @@ func (p *condParser) ternary() (CondExpr, error) {
 	}
 	t, ok = p.next()
 	if !ok || t.Text != ":" {
-		return nil, fmt.Errorf("cpp: missing ':' in ternary expression")
+		return nil, fmt.Errorf("missing ':' in ternary expression")
 	}
 	elseE, err := p.ternary()
 	if err != nil {
 		return nil, err
 	}
 	return CondTernary{C: cond, T: thenE, F: elseE}, nil
+}
+
+// binPrec maps binary operators to precedence; higher binds tighter.
+var binPrec = map[string]int{
+	"||": 1,
+	"&&": 2,
+	"|":  3,
+	"^":  4,
+	"&":  5,
+	"==": 6, "!=": 6,
+	"<": 7, ">": 7, "<=": 7, ">=": 7,
+	"<<": 8, ">>": 8,
+	"+": 9, "-": 9,
+	"*": 10, "/": 10, "%": 10,
 }
 
 func (p *condParser) binary(minPrec int) (CondExpr, error) {
@@ -151,7 +175,7 @@ func (p *condParser) binary(minPrec int) (CondExpr, error) {
 func (p *condParser) unary() (CondExpr, error) {
 	t, ok := p.next()
 	if !ok {
-		return nil, fmt.Errorf("cpp: unexpected end of #if expression")
+		return nil, fmt.Errorf("unexpected end of #if expression")
 	}
 	switch t.Kind {
 	case KindPunct:
@@ -169,7 +193,7 @@ func (p *condParser) unary() (CondExpr, error) {
 			}
 			nt, ok := p.next()
 			if !ok || nt.Text != ")" {
-				return nil, fmt.Errorf("cpp: missing ')' in #if expression")
+				return nil, fmt.Errorf("missing ')' in #if expression")
 			}
 			return v, nil
 		}
@@ -191,30 +215,30 @@ func (p *condParser) unary() (CondExpr, error) {
 		}
 		return CondIdent{Name: t.Text}, nil
 	}
-	return nil, fmt.Errorf("cpp: unexpected token %q in #if expression", t.Text)
+	return nil, fmt.Errorf("unexpected token %q in #if expression", t.Text)
 }
 
 func (p *condParser) definedOp() (CondExpr, error) {
 	t, ok := p.next()
 	if !ok {
-		return nil, fmt.Errorf("cpp: operator \"defined\" requires an identifier")
+		return nil, fmt.Errorf("operator \"defined\" requires an identifier")
 	}
 	paren := false
 	if t.Kind == KindPunct && t.Text == "(" {
 		paren = true
 		t, ok = p.next()
 		if !ok {
-			return nil, fmt.Errorf("cpp: operator \"defined\" requires an identifier")
+			return nil, fmt.Errorf("operator \"defined\" requires an identifier")
 		}
 	}
 	if t.Kind != KindIdent {
-		return nil, fmt.Errorf("cpp: operator \"defined\" requires an identifier")
+		return nil, fmt.Errorf("operator \"defined\" requires an identifier")
 	}
 	name := t.Text
 	if paren {
 		nt, ok := p.next()
 		if !ok || nt.Text != ")" {
-			return nil, fmt.Errorf("cpp: missing ')' after \"defined\"")
+			return nil, fmt.Errorf("missing ')' after \"defined\"")
 		}
 	}
 	return CondDefined{Name: name}, nil

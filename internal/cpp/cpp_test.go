@@ -227,6 +227,44 @@ func TestIfExpressionOperators(t *testing.T) {
 	}
 }
 
+// TestIfExpressionGrammarEdges pins the evaluator's behavior where it
+// differs from plain arithmetic: a `defined` produced by macro expansion
+// tests the macro table (gcc's behavior), ?: short-circuits, and errors
+// keep the preprocessor's position and message.
+func TestIfExpressionGrammarEdges(t *testing.T) {
+	taken := []struct {
+		expr string
+		take bool
+	}{
+		{"HAS_BAR", true},
+		{"HAS_FOO", false},
+		{"1 ? 1 : (1/0)", true},
+		{"0 ? (1/0) : 0", false},
+	}
+	for _, tt := range taken {
+		src := "#define BAR 1\n#define HAS_BAR defined(BAR)\n#define HAS_FOO defined FOO\n" +
+			"#if " + tt.expr + "\nint taken;\n#endif\n"
+		res := run(t, map[string]string{"main.c": src}, Options{})
+		if got := strings.Contains(res.Output, "taken"); got != tt.take {
+			t.Errorf("#if %s: taken = %v, want %v", tt.expr, got, tt.take)
+		}
+	}
+	for expr, want := range map[string]string{
+		"1 / 0":   "main.c:1: division by zero in #if expression",
+		"1 +":     "main.c:1: unexpected end of #if expression",
+		"(1":      "main.c:1: missing ')' in #if expression",
+		"1 2":     "main.c:1: unexpected token \"2\" in #if expression",
+		"1 ? 2":   "main.c:1: missing ':' in ternary expression",
+		"0x1g":    "main.c:1: bad integer \"0x1g\" in #if expression",
+		"defined": "main.c:1: operator \"defined\" requires an identifier",
+	} {
+		_, err := Preprocess(mapSource{"main.c": "#if " + expr + "\n#endif\n"}, "main.c", Options{})
+		if err == nil || err.Error() != want {
+			t.Errorf("#if %s: err = %v, want %q", expr, err, want)
+		}
+	}
+}
+
 func TestIncludeSearchOrder(t *testing.T) {
 	files := map[string]string{
 		"main.c":              "#include \"local.h\"\n#include <linux/sys.h>\nint v = LOCAL + SYS;\n",

@@ -1,26 +1,27 @@
 package cpp
 
 // evalCondition evaluates a #if / #elif controlling expression: `defined`
-// is resolved first, remaining tokens are macro-expanded, leftover
-// identifiers become 0, and the result is a C integer constant expression.
-// Parsing and evaluation are separate passes so that && / || / ?: short-
-// circuit properly: a division by zero in an untaken branch is not an
-// error, matching gcc.
+// is resolved first, remaining tokens are macro-expanded, and the result
+// is parsed by the same grammar ParseCondExpr uses and evaluated as a C
+// integer constant expression. Parsing and evaluation are separate passes
+// so that && / || / ?: short-circuit properly: a division by zero in an
+// untaken branch is not an error, matching gcc.
 func (p *pp) evalCondition(ts []Token) (bool, error) {
 	resolved, err := p.resolveDefined(ts)
 	if err != nil {
 		return false, err
 	}
+	p.inCond = true
 	expanded, err := p.expandTokens(resolved)
+	p.inCond = false
 	if err != nil {
 		return false, err
 	}
-	ep := &exprParser{p: p, ts: expanded}
-	node, err := ep.parse()
+	e, err := parseCondTokens(expanded)
 	if err != nil {
-		return false, err
+		return false, p.errf("%v", err)
 	}
-	v, err := node.eval(p)
+	v, err := p.evalCond(e)
 	if err != nil {
 		return false, err
 	}
@@ -62,84 +63,67 @@ func (p *pp) resolveDefined(ts []Token) ([]Token, error) {
 	return out, nil
 }
 
-// expr is a parsed constant-expression node.
-type expr interface {
-	eval(p *pp) (int64, error)
-}
-
-type numExpr int64
-
-func (n numExpr) eval(*pp) (int64, error) { return int64(n), nil }
-
-type unaryExpr struct {
-	op string
-	x  expr
-}
-
-func (u unaryExpr) eval(p *pp) (int64, error) {
-	v, err := u.x.eval(p)
-	if err != nil {
-		return 0, err
-	}
-	switch u.op {
-	case "!":
-		if v == 0 {
-			return 1, nil
-		}
+// evalCond evaluates a parsed, fully expanded controlling expression.
+// Identifiers left after expansion are 0; a `defined` that macro
+// expansion produced tests the macro table, as gcc does.
+func (p *pp) evalCond(e CondExpr) (int64, error) {
+	switch n := e.(type) {
+	case CondNum:
+		return n.Val, nil
+	case CondIdent:
 		return 0, nil
-	case "~":
-		return ^v, nil
-	case "-":
-		return -v, nil
-	case "+":
+	case CondDefined:
+		_, ok := p.macroFor(n.Name)
+		return btoi(ok), nil
+	case CondUnary:
+		v, err := p.evalCond(n.X)
+		if err != nil {
+			return 0, err
+		}
+		switch n.Op {
+		case "!":
+			return btoi(v == 0), nil
+		case "~":
+			return ^v, nil
+		case "-":
+			return -v, nil
+		}
 		return v, nil
+	case CondTernary:
+		c, err := p.evalCond(n.C)
+		if err != nil {
+			return 0, err
+		}
+		if c != 0 {
+			return p.evalCond(n.T)
+		}
+		return p.evalCond(n.F)
+	case CondBinary:
+		return p.evalBinary(n)
 	}
-	return 0, p.errf("unknown unary operator %q", u.op)
+	return 0, p.errf("unknown #if expression node %T", e)
 }
 
-type binExpr struct {
-	op   string
-	l, r expr
-}
-
-func (b binExpr) eval(p *pp) (int64, error) {
-	l, err := b.l.eval(p)
+func (p *pp) evalBinary(b CondBinary) (int64, error) {
+	l, err := p.evalCond(b.L)
 	if err != nil {
 		return 0, err
-	}
-	btoi := func(x bool) int64 {
-		if x {
-			return 1
-		}
-		return 0
 	}
 	// Short-circuit: the right operand of && / || is only evaluated when it
 	// can affect the result.
-	switch b.op {
-	case "&&":
-		if l == 0 {
-			return 0, nil
-		}
-		r, err := b.r.eval(p)
-		if err != nil {
-			return 0, err
-		}
-		return btoi(r != 0), nil
-	case "||":
-		if l != 0 {
-			return 1, nil
-		}
-		r, err := b.r.eval(p)
-		if err != nil {
-			return 0, err
-		}
-		return btoi(r != 0), nil
+	switch {
+	case b.Op == "&&" && l == 0:
+		return 0, nil
+	case b.Op == "||" && l != 0:
+		return 1, nil
 	}
-	r, err := b.r.eval(p)
+	r, err := p.evalCond(b.R)
 	if err != nil {
 		return 0, err
 	}
-	switch b.op {
+	switch b.Op {
+	case "&&", "||":
+		return btoi(r != 0), nil
 	case "|":
 		return l | r, nil
 	case "^":
@@ -168,185 +152,21 @@ func (b binExpr) eval(p *pp) (int64, error) {
 		return l - r, nil
 	case "*":
 		return l * r, nil
-	case "/":
+	case "/", "%":
 		if r == 0 {
 			return 0, p.errf("division by zero in #if expression")
 		}
-		return l / r, nil
-	case "%":
-		if r == 0 {
-			return 0, p.errf("division by zero in #if expression")
+		if b.Op == "/" {
+			return l / r, nil
 		}
 		return l % r, nil
 	}
-	return 0, p.errf("unknown operator %q", b.op)
+	return 0, p.errf("unknown operator %q", b.Op)
 }
 
-type ternExpr struct {
-	c, t, f expr
-}
-
-func (t ternExpr) eval(p *pp) (int64, error) {
-	c, err := t.c.eval(p)
-	if err != nil {
-		return 0, err
+func btoi(x bool) int64 {
+	if x {
+		return 1
 	}
-	if c != 0 {
-		return t.t.eval(p)
-	}
-	return t.f.eval(p)
-}
-
-// exprParser is a precedence-climbing parser producing expr trees.
-type exprParser struct {
-	p   *pp
-	ts  []Token
-	pos int
-}
-
-func (e *exprParser) peek() (Token, bool) {
-	if e.pos < len(e.ts) {
-		return e.ts[e.pos], true
-	}
-	return Token{}, false
-}
-
-func (e *exprParser) next() (Token, bool) {
-	t, ok := e.peek()
-	if ok {
-		e.pos++
-	}
-	return t, ok
-}
-
-func (e *exprParser) parse() (expr, error) {
-	v, err := e.ternary()
-	if err != nil {
-		return nil, err
-	}
-	if t, ok := e.peek(); ok {
-		return nil, e.p.errf("unexpected token %q in #if expression", t.Text)
-	}
-	return v, nil
-}
-
-func (e *exprParser) ternary() (expr, error) {
-	cond, err := e.binary(0)
-	if err != nil {
-		return nil, err
-	}
-	t, ok := e.peek()
-	if !ok || t.Kind != KindPunct || t.Text != "?" {
-		return cond, nil
-	}
-	e.pos++
-	thenE, err := e.ternary()
-	if err != nil {
-		return nil, err
-	}
-	t, ok = e.next()
-	if !ok || t.Text != ":" {
-		return nil, e.p.errf("missing ':' in ternary expression")
-	}
-	elseE, err := e.ternary()
-	if err != nil {
-		return nil, err
-	}
-	return ternExpr{cond, thenE, elseE}, nil
-}
-
-// binPrec maps binary operators to precedence; higher binds tighter.
-var binPrec = map[string]int{
-	"||": 1,
-	"&&": 2,
-	"|":  3,
-	"^":  4,
-	"&":  5,
-	"==": 6, "!=": 6,
-	"<": 7, ">": 7, "<=": 7, ">=": 7,
-	"<<": 8, ">>": 8,
-	"+": 9, "-": 9,
-	"*": 10, "/": 10, "%": 10,
-}
-
-func (e *exprParser) binary(minPrec int) (expr, error) {
-	lhs, err := e.unary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t, ok := e.peek()
-		if !ok || t.Kind != KindPunct {
-			return lhs, nil
-		}
-		prec, isOp := binPrec[t.Text]
-		if !isOp || prec < minPrec {
-			return lhs, nil
-		}
-		e.pos++
-		rhs, err := e.binary(prec + 1)
-		if err != nil {
-			return nil, err
-		}
-		lhs = binExpr{t.Text, lhs, rhs}
-	}
-}
-
-func (e *exprParser) unary() (expr, error) {
-	t, ok := e.next()
-	if !ok {
-		return nil, e.p.errf("unexpected end of #if expression")
-	}
-	switch t.Kind {
-	case KindPunct:
-		switch t.Text {
-		case "!", "~", "-", "+":
-			x, err := e.unary()
-			if err != nil {
-				return nil, err
-			}
-			return unaryExpr{t.Text, x}, nil
-		case "(":
-			v, err := e.ternary()
-			if err != nil {
-				return nil, err
-			}
-			nt, ok := e.next()
-			if !ok || nt.Text != ")" {
-				return nil, e.p.errf("missing ')' in #if expression")
-			}
-			return v, nil
-		}
-	case KindNumber:
-		v, err := parsePPNumber(e.p, t.Text)
-		return numExpr(v), err
-	case KindChar:
-		v, err := charValue(e.p, t.Text)
-		return numExpr(v), err
-	case KindIdent:
-		// Unexpanded identifier: evaluates to 0 per the standard.
-		return numExpr(0), nil
-	}
-	return nil, e.p.errf("unexpected token %q in #if expression", t.Text)
-}
-
-// parsePPNumber converts a pp-number to int64, attaching preprocessor
-// location context to any error. The conversion itself lives in
-// ppNumberValue (condexpr.go) so the symbolic parser shares it.
-func parsePPNumber(p *pp, s string) (int64, error) {
-	v, err := ppNumberValue(s)
-	if err != nil {
-		return 0, p.errf("%v", err)
-	}
-	return v, nil
-}
-
-// charValue evaluates a character constant like 'a' or '\n', attaching
-// location context to any error; see charConstValue (condexpr.go).
-func charValue(p *pp, s string) (int64, error) {
-	v, err := charConstValue(s)
-	if err != nil {
-		return 0, p.errf("%v", err)
-	}
-	return v, nil
+	return 0
 }

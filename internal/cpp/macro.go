@@ -62,6 +62,14 @@ func (p *pp) expandTokens(ts []Token) ([]Token, error) {
 			p.counter++
 			continue
 		}
+		if p.inCond && t.Text == "defined" {
+			// As in gcc, the operand of a `defined` produced by expansion is
+			// read unexpanded, so it tests the macro table.
+			n := definedOperandLen(work)
+			out = append(append(out, t), work[:n]...)
+			work = work[n:]
+			continue
+		}
 		m, ok := p.macroFor(t.Text)
 		if !ok || t.hidden(t.Text) {
 			out = append(out, t)
@@ -88,6 +96,18 @@ func (p *pp) expandTokens(ts []Token) ([]Token, error) {
 		work = append(rep, work...)
 	}
 	return out, nil
+}
+
+// definedOperandLen is the length of the `NAME` or `( NAME )` operand at
+// the front of ts, or 0 when none is there.
+func definedOperandLen(ts []Token) int {
+	switch {
+	case len(ts) > 0 && ts[0].Kind == KindIdent:
+		return 1
+	case len(ts) > 2 && ts[0].Text == "(" && ts[1].Kind == KindIdent && ts[2].Text == ")":
+		return 3
+	}
+	return 0
 }
 
 // hideAll extends every replacement token's hide set with the invoking

@@ -95,7 +95,6 @@ func NewFollower(repo *vcs.Repo, baseID string, opts Options) (*Follower, error)
 		if err != nil {
 			return nil, fmt.Errorf("incr: %w", err)
 		}
-		sess.EnableWarm()
 		f.sess = sess
 	}
 	return f, nil

@@ -12,16 +12,30 @@ import (
 // File is the presence analysis of one source file: a formula per physical
 // line, derived from the #if nesting stack. Kbuild gating is not included —
 // it depends on the architecture's Makefile walk and is conjoined by the
-// caller (see internal/core and cmd/jmake-lint).
+// caller (see internal/core and cmd/jmake-lint). A File is read-only once
+// Analyze returns.
 type File struct {
 	Path string
+	// Src is the line-level analysis the formulas were built from.
+	Src *csrc.File
 	// conds[i] is the condition of 1-based line i+1.
 	conds []Formula
+	// branch maps the line of each branch's opening directive to the
+	// branch's formula.
+	branch map[int]Formula
 	// Defined holds macro names the file itself #defines or #undefs.
 	// Conditions over these names cannot be resolved from configuration
 	// alone, so the analysis keeps them opaque even when they look like
 	// CONFIG_* options.
 	Defined map[string]bool
+}
+
+// Frame is one branch enclosing a line: the conditional frame and the
+// branch's formula, its own test conjoined with the negation of every
+// earlier branch in its chain.
+type Frame struct {
+	csrc.CondFrame
+	Cond Formula
 }
 
 // Analyze computes a presence condition for every line of content. It never
@@ -31,7 +45,9 @@ func Analyze(path, content string) *File {
 	sf := csrc.Analyze(content)
 	f := &File{
 		Path:    path,
+		Src:     sf,
 		conds:   make([]Formula, len(sf.Lines)),
+		branch:  make(map[int]Formula),
 		Defined: make(map[string]bool),
 	}
 	for _, li := range sf.Lines {
@@ -48,26 +64,41 @@ func Analyze(path, content string) *File {
 	}
 	// Frames are shared between lines, so one formula per opening directive
 	// line covers every line of its branch.
-	frameCond := make(map[int]Formula)
 	for i, li := range sf.Lines {
 		cond := True
 		for _, fr := range li.Conds {
+			fc, ok := f.branch[fr.Line]
+			if !ok {
+				fc = f.frameFormula(fr)
+				f.branch[fr.Line] = fc
+			}
 			// A conditional directive line carries the frame it just opened,
 			// but the directive itself is processed whenever the *enclosing*
 			// region is — only the branch body is governed by the new frame.
-			if fr.Line == li.Num {
-				continue
+			if fr.Line != li.Num {
+				cond = And(cond, fc)
 			}
-			fc, ok := frameCond[fr.Line]
-			if !ok {
-				fc = f.frameFormula(fr)
-				frameCond[fr.Line] = fc
-			}
-			cond = And(cond, fc)
 		}
 		f.conds[i] = cond
 	}
 	return f
+}
+
+// Frames returns the branches enclosing 1-based line n, outermost first,
+// under the rule LineCond applies: a conditional directive line is not
+// inside the branch it opens. Out-of-range lines have none.
+func (f *File) Frames(n int) []Frame {
+	li, ok := f.Src.LineAt(n)
+	if !ok {
+		return nil
+	}
+	out := make([]Frame, 0, len(li.Conds))
+	for _, fr := range li.Conds {
+		if fr.Line != n {
+			out = append(out, Frame{CondFrame: fr, Cond: f.branch[fr.Line]})
+		}
+	}
+	return out
 }
 
 // Include is one #include directive of a source file. The reverse

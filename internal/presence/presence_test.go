@@ -1,6 +1,7 @@
 package presence
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -63,28 +64,37 @@ func TestSubstituteAndSymbols(t *testing.T) {
 
 func TestSat(t *testing.T) {
 	a, b := Symbol("A"), Symbol("B")
-	if sat, exact := Sat(And(a, Not(a))); sat || !exact {
-		t.Errorf("A && !A: sat=%v exact=%v", sat, exact)
-	}
-	if sat, exact := Sat(And(a, b)); !sat || !exact {
-		t.Errorf("A && B: sat=%v exact=%v", sat, exact)
-	}
-	if sat, exact := Sat(False); sat || !exact {
-		t.Errorf("false: sat=%v exact=%v", sat, exact)
+	for _, c := range []struct {
+		f    Formula
+		want SatResult
+	}{
+		{And(a, Not(a)), SatNo},
+		{And(a, b), SatYes},
+		{False, SatNo},
+	} {
+		if got := Decide(c.f); got != c.want {
+			t.Errorf("Decide(%s) = %v, want %v", c.f, got, c.want)
+		}
 	}
 
-	// Too many symbols: conservatively satisfiable, marked inexact.
+	// Too many symbols: nothing proven either way.
 	wide := False
 	for i := 0; i < MaxSatSymbols+1; i++ {
 		wide = Or(wide, Symbol(strings.Repeat("S", i+1)))
 	}
-	if sat, exact := Sat(wide); !sat || exact {
-		t.Errorf("wide: sat=%v exact=%v", sat, exact)
+	if got := Decide(wide); got != SatUnknown {
+		t.Errorf("wide: Decide = %v, want unknown", got)
+	}
+	if assign, sat, exact := SatAssignment(wide); !sat || exact || assign != nil {
+		t.Errorf("wide: SatAssignment = %v, %v, %v", assign, sat, exact)
 	}
 
 	assign, sat, exact := SatAssignment(And(a, Not(b)))
 	if !sat || !exact || !assign["A"] || assign["B"] {
 		t.Errorf("SatAssignment = %v, %v, %v", assign, sat, exact)
+	}
+	if _, sat, exact := SatAssignment(And(a, Not(a))); sat || !exact {
+		t.Errorf("SatAssignment(A && !A): sat=%v exact=%v", sat, exact)
 	}
 }
 
@@ -132,13 +142,63 @@ func TestAnalyzeNesting(t *testing.T) {
 	// The #elif after #ifndef CONFIG_A carries the negation of the opening
 	// branch — double negation folds back to CONFIG_A — and stays
 	// satisfiable (A on, B on).
-	if sat, exact := Sat(f.LineCond(14)); !sat || !exact {
-		t.Errorf("elif branch: sat=%v exact=%v", sat, exact)
+	if got := Decide(f.LineCond(14)); got != SatYes {
+		t.Errorf("elif branch: %v, want sat", got)
 	}
 	// But "#elif defined(CONFIG_A)" after "#ifdef CONFIG_A" would be dead.
 	f2 := Analyze("t.c", "#ifdef CONFIG_A\nint a;\n#elif defined(CONFIG_A)\nint b;\n#endif\n")
-	if sat, exact := Sat(f2.LineCond(4)); sat || !exact {
-		t.Errorf("contradictory elif: sat=%v exact=%v", sat, exact)
+	if got := Decide(f2.LineCond(4)); got != SatNo {
+		t.Errorf("contradictory elif: %v, want unsat", got)
+	}
+}
+
+// TestFrames pins the per-branch view: outermost first, each frame's
+// formula its own test plus the negated earlier branches of its chain,
+// and a directive line outside the branch it opens.
+func TestFrames(t *testing.T) {
+	src := strings.Join([]string{
+		"#ifdef CONFIG_A",         // 1
+		"#if 0",                   // 2
+		"int zero;",               // 3
+		"#endif",                  // 4
+		"#elif defined(CONFIG_B)", // 5
+		"int b;",                  // 6
+		"#else",                   // 7
+		"int neither;",            // 8
+		"#endif",                  // 9
+		"",
+	}, "\n")
+	f := Analyze("t.c", src)
+	render := func(n int) string {
+		var parts []string
+		for _, fr := range f.Frames(n) {
+			parts = append(parts, fmt.Sprintf("%d:%s", fr.Line, fr.Cond))
+		}
+		return strings.Join(parts, " ")
+	}
+	for n, want := range map[int]string{
+		1:  "",
+		2:  "1:CONFIG_A",
+		3:  "1:CONFIG_A 2:false",
+		5:  "",
+		6:  "5:(!CONFIG_A && CONFIG_B)",
+		7:  "",
+		8:  "7:(!CONFIG_A && !CONFIG_B)",
+		99: "",
+	} {
+		if got := render(n); got != want {
+			t.Errorf("Frames(%d) = %q, want %q", n, got, want)
+		}
+	}
+	// LineCond is the conjunction of the frames.
+	for n := 1; n <= f.Len(); n++ {
+		conj := True
+		for _, fr := range f.Frames(n) {
+			conj = And(conj, fr.Cond)
+		}
+		if got := f.LineCond(n); got.String() != conj.String() {
+			t.Errorf("line %d: LineCond %s, frames conjoin to %s", n, got, conj)
+		}
 	}
 }
 
@@ -163,8 +223,8 @@ func TestFromCondExprOpaqueDiscipline(t *testing.T) {
 	// would wrongly prove `defined(FOO) && !FOO` unsatisfiable.
 	f := Analyze("t.c", "#if defined(FOO) && !FOO\nint x;\n#endif\n")
 	cond := f.LineCond(2)
-	if sat, exact := Sat(cond); !sat || !exact {
-		t.Errorf("defined(FOO) && !FOO: sat=%v exact=%v (cond %s)", sat, exact, cond)
+	if got := Decide(cond); got != SatYes {
+		t.Errorf("defined(FOO) && !FOO: %v, want sat (cond %s)", got, cond)
 	}
 	if syms := Symbols(cond); len(syms) != 2 {
 		t.Errorf("want two distinct variables, got %v", syms)
@@ -172,9 +232,9 @@ func TestFromCondExprOpaqueDiscipline(t *testing.T) {
 
 	// Arithmetic degrades to one opaque variable per distinct subtree.
 	f2 := Analyze("t.c", "#if CONFIG_X > 2\nint x;\n#elif CONFIG_X > 2\nint y;\n#endif\n")
-	if sat, exact := Sat(f2.LineCond(4)); sat || !exact {
-		t.Errorf("repeated opaque comparison in elif should be unsat, got sat=%v exact=%v (cond %s)",
-			sat, exact, f2.LineCond(4))
+	if got := Decide(f2.LineCond(4)); got != SatNo {
+		t.Errorf("repeated opaque comparison in elif should be unsat, got %v (cond %s)",
+			got, f2.LineCond(4))
 	}
 }
 
@@ -189,7 +249,7 @@ func TestAnalyzeMalformedNeverPanics(t *testing.T) {
 		f := Analyze("t.c", src)
 		for i := 1; i <= f.Len(); i++ {
 			_ = f.LineCond(i).String()
-			_, _ = Sat(f.LineCond(i))
+			_ = Decide(f.LineCond(i))
 		}
 	}
 }

@@ -35,69 +35,55 @@ func (r SatResult) String() string {
 
 // Decide reports the satisfiability of f by enumerating assignments over
 // its symbols, giving up explicitly (SatUnknown) beyond MaxSatSymbols.
-// Earlier revisions folded the gave-up case into "satisfiable", which was
-// sound for dead-line proofs but invited misuse the moment a caller asked
-// the opposite question; the tri-state makes the bound impossible to
-// overlook.
+// Earlier revisions also offered a two-valued view that folded the gave-up
+// case into "satisfiable", which was sound for dead-line proofs but invited
+// misuse the moment a caller asked the opposite question; the tri-state
+// makes the bound impossible to overlook.
 func Decide(f Formula) SatResult {
+	_, r := enumerate(f, false)
+	return r
+}
+
+// SatAssignment is Decide plus a witness: when f is satisfiable within the
+// enumeration bound, it returns one satisfying assignment over f's symbols
+// (the first in enumeration order). exact is false beyond the bound, where
+// nothing was proven and no assignment is returned.
+func SatAssignment(f Formula) (assign map[string]bool, sat, exact bool) {
+	a, r := enumerate(f, true)
+	return a, r != SatNo, r != SatUnknown
+}
+
+// enumerate tries every assignment over f's sorted symbols, the first
+// symbol flipping fastest, and with witness returns a copy of the first
+// that satisfies f. Without witness the working map never leaves the
+// function, so Decide allocates it on the stack.
+func enumerate(f Formula, witness bool) (map[string]bool, SatResult) {
 	if c, ok := f.(constF); ok {
 		if bool(c) {
-			return SatYes
+			return nil, SatYes
 		}
-		return SatNo
+		return nil, SatNo
 	}
 	syms := Symbols(f)
 	if len(syms) > MaxSatSymbols {
-		return SatUnknown
+		return nil, SatUnknown
 	}
 	assign := make(map[string]bool, len(syms))
 	for mask := uint64(0); mask < uint64(1)<<len(syms); mask++ {
 		for i, s := range syms {
 			assign[s] = mask&(1<<i) != 0
 		}
-		if Eval(f, assign) {
-			return SatYes
+		if !Eval(f, assign) {
+			continue
 		}
-	}
-	return SatNo
-}
-
-// Sat is the two-valued view of Decide. exact is false when f has more
-// than MaxSatSymbols symbols, in which case sat is conservatively true:
-// callers prove lines *dead* with this, so an inexact answer must never
-// claim unsatisfiability.
-func Sat(f Formula) (sat, exact bool) {
-	switch Decide(f) {
-	case SatYes:
-		return true, true
-	case SatNo:
-		return false, true
-	}
-	return true, false
-}
-
-// SatAssignment is Sat plus a witness: when f is satisfiable within the
-// enumeration bound, it returns one satisfying assignment over f's symbols.
-func SatAssignment(f Formula) (assign map[string]bool, sat, exact bool) {
-	if c, ok := f.(constF); ok {
-		return map[string]bool{}, bool(c), true
-	}
-	syms := Symbols(f)
-	if len(syms) > MaxSatSymbols {
-		return nil, true, false
-	}
-	a := make(map[string]bool, len(syms))
-	for mask := uint64(0); mask < uint64(1)<<len(syms); mask++ {
-		for i, s := range syms {
-			a[s] = mask&(1<<i) != 0
+		if !witness {
+			return nil, SatYes
 		}
-		if Eval(f, a) {
-			out := make(map[string]bool, len(a))
-			for k, v := range a {
-				out[k] = v
-			}
-			return out, true, true
+		out := make(map[string]bool, len(assign))
+		for k, v := range assign {
+			out[k] = v
 		}
+		return out, SatYes
 	}
-	return nil, false, true
+	return nil, SatNo
 }

@@ -53,15 +53,6 @@ func TestDecideBoundary(t *testing.T) {
 		t.Fatalf("Decide(%d-symbol contradiction) = %v, want SatUnknown", MaxSatSymbols+1, got)
 	}
 
-	// The legacy two-valued view must map SatUnknown to (sat, inexact).
-	sat, exact := Sat(over)
-	if !sat || exact {
-		t.Fatalf("Sat(over-bound) = (%v, %v), want (true, false)", sat, exact)
-	}
-	sat, exact = Sat(at)
-	if sat || !exact {
-		t.Fatalf("Sat(at-bound contradiction) = (%v, %v), want (false, true)", sat, exact)
-	}
 }
 
 // TestDecideOverBoundSatisfiable: a wide but satisfiable formula also
