@@ -13,8 +13,11 @@ vet:
 test:
 	$(GO) test ./...
 
+# The second line repeats the copy-on-write tree's concurrency test, whose
+# goroutines clone, write and query trees that share file versions.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run TestConcurrentClones ./internal/fstree/
 
 # Quick iteration loop: skips the long chaos seed sweeps.
 short:
@@ -50,7 +53,8 @@ audit-smoke:
 # when its presence formula says so, a malformed makefile must never
 # panic the Kbuild walk or make Reachable disagree with FileGate, and
 # copy-on-write trees must answer every query like plain maps, with no
-# write leaking between a clone and its source.
+# write leaking between a clone and its source and with Containing's
+# trigram prefilter answering exactly as strings.Contains over each file.
 fuzz:
 	$(GO) test ./internal/presence/ -run '^$$' -fuzz FuzzPresenceParse -fuzztime 10s
 	$(GO) test ./internal/presence/ -run '^$$' -fuzz FuzzStaticDynamicAgree -fuzztime 10s

@@ -5,7 +5,8 @@
 //
 // The cold/warm comparison is in effective virtual seconds — the
 // deterministic cost-model currency — so the headline savings figure is
-// machine-independent; only the wall-clock columns vary by host.
+// machine-independent; only the wall-clock columns vary by host, and the
+// report's host object records which machine measured them.
 //
 // Profiling flags (-cpuprofile, -mutexprofile, -blockprofile) capture
 // pprof profiles of the benchmarked run, for hunting lock convoys and
@@ -125,6 +126,9 @@ func run() error {
 		return err
 	}
 
+	h := rep.Host
+	fmt.Printf("host: %s, %d CPUs, GOMAXPROCS %d, %s %s/%s\n",
+		h.CPUModel, h.NumCPU, h.GOMAXPROCS, h.GoVersion, h.GOOS, h.GOARCH)
 	fmt.Printf("\nworker sweep (%d window commits):\n", rep.WindowCommits)
 	for _, w := range rep.WorkerSweep {
 		fmt.Printf("  workers=%d  wall %.2fs  %.1f patches/sec\n",

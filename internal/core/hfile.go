@@ -24,11 +24,11 @@ type candidate struct {
 	anyHint  bool
 }
 
-// findHeaderCandidates scans the tree's .c files for candidates per paper
-// §III-E: files that directly include the header, and files that refer to
-// the macro names changed in it. Priority: include+all-hints, then
-// all-hints, then the rest. A header under arch/<A>/ is only relevant to
-// .c files of that architecture or outside arch/.
+// findHeaderCandidates finds candidates per paper §III-E: .c files that
+// directly include the header, and files that refer to the macro names
+// changed in it. Priority: include+all-hints, then all-hints, then the
+// rest. A header under arch/<A>/ is only relevant to .c files of that
+// architecture or outside arch/.
 func (c *Checker) findHeaderCandidates(hPath string, hints []string) []candidate {
 	relInclude := strings.TrimPrefix(hPath, "include/")
 	base := hPath[strings.LastIndexByte(hPath, '/')+1:]
@@ -40,20 +40,15 @@ func (c *Checker) findHeaderCandidates(hPath string, hints []string) []candidate
 		}
 	}
 
+	forms := []string{"<" + relInclude + ">", "\"" + base + "\""}
 	var out []candidate
-	for _, p := range c.tree.Paths() {
-		if !strings.HasSuffix(p, ".c") {
-			continue
-		}
+	for _, p := range c.tree.Containing(".c", append(forms, hints...)) {
 		if hArch != "" && strings.HasPrefix(p, "arch/") && !strings.HasPrefix(p, "arch/"+hArch+"/") {
 			continue
 		}
-		content, err := c.tree.Read(p)
-		if err != nil {
-			continue
-		}
+		content, _ := c.tree.Read(p) // p exists: Containing listed it
 		cand := candidate{path: p}
-		if strings.Contains(content, "<"+relInclude+">") || strings.Contains(content, "\""+base+"\"") {
+		if strings.Contains(content, forms[0]) || strings.Contains(content, forms[1]) {
 			cand.includes = true
 		}
 		if len(hints) > 0 {
@@ -66,9 +61,7 @@ func (c *Checker) findHeaderCandidates(hPath string, hints []string) []candidate
 				}
 			}
 		}
-		if cand.includes || cand.anyHint {
-			out = append(out, cand)
-		}
+		out = append(out, cand)
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		return candRank(out[i]) < candRank(out[j])

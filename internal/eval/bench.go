@@ -1,8 +1,12 @@
 package eval
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"os"
+	"runtime"
+	"strings"
 	"time"
 
 	"jmake/internal/trace"
@@ -44,9 +48,53 @@ type BenchSpanStat struct {
 	SavedVirtualSeconds float64 `json:"saved_virtual_seconds"`
 }
 
+// BenchHost fingerprints the machine that measured a report's wall-clock
+// fields, with the fields of perfbench's "# meta" host record.
+type BenchHost struct {
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	CPUModel   string `json:"cpu_model"`
+}
+
+// currentHost fingerprints the running machine.
+func currentHost() BenchHost {
+	return BenchHost{
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		CPUModel:   cpuModel(),
+	}
+}
+
+// cpuModel reads the first "model name" of /proc/cpuinfo ("unknown" where
+// the host does not expose it).
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		k, v, ok := strings.Cut(sc.Text(), ":")
+		if ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
+}
+
 // BenchReport is the output of RunBenchmarks, written by cmd/jmake-bench
-// to BENCH_pipeline.json.
+// to BENCH_pipeline.json. Host identifies the machine behind the
+// wall-clock fields (wall_seconds, patches_per_sec); every other field is
+// deterministic virtual time or a count.
 type BenchReport struct {
+	Host           BenchHost           `json:"host"`
 	TreeScale      float64             `json:"tree_scale"`
 	CommitScale    float64             `json:"commit_scale"`
 	WindowCommits  int                 `json:"window_commits"`
@@ -81,6 +129,7 @@ func RunBenchmarks(p Params, cacheDir string) (*BenchReport, error) {
 		return nil, err
 	}
 	rep := &BenchReport{
+		Host:          currentHost(),
 		TreeScale:     run.Params.TreeScale,
 		CommitScale:   run.Params.CommitScale,
 		WindowCommits: len(ids),

@@ -29,6 +29,12 @@ var (
 		return out
 	}()
 	fuzzUnder = append(fuzzDirs, "arch", "nope")
+	// fuzzNeedles are Containing's needles: the empty needle, needles
+	// shorter than a trigram, needles from the contents' alphabet (with
+	// "c@1", a trigram that tells apart writes of one path at different
+	// steps), a whole path, a byte ≥ 0x80 that only some writes hold, alone
+	// and in a trigram, and a needle that never occurs.
+	fuzzNeedles = []string{"", "a", "@", "zz", "b.c@", "@1", "c@1", "arch/x86/zz.h", "\xe9", "c\xe9@", "qq"}
 )
 
 // maxFuzzTrees bounds how many trees one FuzzTreeOps input juggles, and
@@ -41,9 +47,10 @@ const (
 // FuzzTreeOps decodes its input into Write, Remove, Clone and switch-tree
 // steps, two bytes each, applies every step both to copy-on-write trees
 // and to plain map models, and after each step requires every tree to
-// agree with its model on Read, Exists, Len, Paths, Under and Walk. Since
-// each model is independent, a write that leaks from a clone into its
-// source, or back, fails the check, folds included.
+// agree with its model on Read, Exists, Len, Paths, Under, Walk and
+// Containing. Since each model is independent, a write that leaks from a
+// clone into its source, or back, fails the check, folds included, and so
+// does a signature that outlives the content it was computed from.
 func FuzzTreeOps(f *testing.F) {
 	// Fill a plain tree, clone it, then edit both sides across folds.
 	var seed []byte
@@ -75,6 +82,9 @@ func FuzzTreeOps(f *testing.F) {
 			switch op % 5 {
 			case 0, 1: // writes are twice as likely, so trees grow
 				content := fmt.Sprintf("%s@%d", p, i)
+				if op >= 128 {
+					content = fmt.Sprintf("%s\xe9@%d", p, i)
+				}
 				trees[cur].Write(name, content)
 				models[cur][p] = content
 			case 2:
@@ -146,25 +156,47 @@ func checkModel(tr *Tree, model map[string]string) error {
 	if err != nil || !slices.Equal(walked, want) {
 		return fmt.Errorf("Walk = %v, %v; want %v", walked, err, want)
 	}
+	for _, suffix := range []string{".c", ".h"} {
+		queries := [][]string{nil, fuzzNeedles, {"qq", "@1"}}
+		for _, n := range fuzzNeedles {
+			queries = append(queries, []string{n})
+		}
+		for _, needles := range queries {
+			var match []string
+			for _, p := range want {
+				if strings.HasSuffix(p, suffix) && slices.ContainsFunc(needles, func(n string) bool {
+					return strings.Contains(model[p], n)
+				}) {
+					match = append(match, p)
+				}
+			}
+			if got := tr.Containing(suffix, needles); !slices.Equal(got, match) {
+				return fmt.Errorf("Containing(%q, %q) = %v, want %v", suffix, needles, got, match)
+			}
+		}
+	}
 	return nil
 }
 
-// TestConcurrentClones: goroutines that clone one tree and write to their
-// clones race neither with each other nor with readers of the source, for
-// a plain source (each clone folds a base of its own) and for one over a
-// base (clones share it, and their writes fold new bases).
+// TestConcurrentClones: goroutines that clone one tree, write to their
+// clones and query them with Containing race neither with each other nor
+// with readers of the source, for a plain source (each clone folds a base
+// of its own) and for one over a base (clones share it, and their writes
+// fold new bases). Every clone shares file versions with the source, so
+// the goroutines' queries sign the same versions at once.
 func TestConcurrentClones(t *testing.T) {
 	plain := New()
 	for i := 0; i < 64; i++ {
-		plain.Write(fmt.Sprintf("d%d/f%d.c", i%4, i), "v0")
+		plain.Write(fmt.Sprintf("d%d/f%d.c", i%4, i), "v0 plain")
 	}
 	layered := plain.Clone()
 	for i := 0; i < 8; i += 2 {
-		layered.Write(fmt.Sprintf("d%d/f%d.c", i%4, i), "v1")
+		layered.Write(fmt.Sprintf("d%d/f%d.c", i%4, i), "v1 layered")
 	}
 	for name, src := range map[string]*Tree{"plain": plain, "layered": layered} {
 		want := src.Paths()
 		first, _ := src.Read("d0/f0.c")
+		wantPlain := src.Containing(".c", []string{"plain"})
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
@@ -173,7 +205,7 @@ func TestConcurrentClones(t *testing.T) {
 				for r := 0; r < 20; r++ {
 					c := src.Clone()
 					for i := 0; i < 24; i++ {
-						c.Write(fmt.Sprintf("d%d/g%d-%d.c", i%4, g, i), "w")
+						c.Write(fmt.Sprintf("d%d/g%d-%d.c", i%4, g, i), "w clone")
 					}
 					if err := c.Remove("d1/f1.c"); err != nil {
 						t.Errorf("%s: Remove: %v", name, err)
@@ -186,6 +218,12 @@ func TestConcurrentClones(t *testing.T) {
 					}
 					if got, _ := src.Read("d0/f0.c"); got != first {
 						t.Errorf("%s: source d0/f0.c = %q, want %q", name, got, first)
+					}
+					if got := c.Containing(".c", []string{"plain", "layered", "clone"}); !slices.Equal(got, c.Paths()) {
+						t.Errorf("%s: clone Containing = %d files, want all %d", name, len(got), c.Len())
+					}
+					if got := src.Containing(".c", []string{"plain"}); !slices.Equal(got, wantPlain) {
+						t.Errorf("%s: source Containing(plain) = %v, want %v", name, got, wantPlain)
 					}
 				}
 			}(g)

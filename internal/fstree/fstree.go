@@ -17,6 +17,11 @@
 // has a base; on a clone, into the new tree only. A tree built from empty
 // (New, LoadDir) has no base, so it stays a plain file map however large
 // it grows.
+//
+// Both layers map paths to file versions. Write makes a new version;
+// Clone and folds copy pointers to versions, so a version's lazily
+// computed trigram signature (see Containing) is computed once per
+// written content and shared by every tree that holds it.
 package fstree
 
 import (
@@ -40,7 +45,7 @@ const foldDivisor = 8
 
 // layer is an immutable base: files and their paths, sorted.
 type layer struct {
-	files map[string]string
+	files map[string]*file
 	paths []string
 }
 
@@ -49,7 +54,7 @@ type layer struct {
 // gives each worker its own Tree, mirroring the paper's 25 kernel copies.
 type Tree struct {
 	base *layer // shared and never modified; nil for a tree built from empty
-	over map[string]string
+	over map[string]*file
 	// gone holds removed base files; it never shares a path with over.
 	gone map[string]struct{}
 	n    int
@@ -57,7 +62,7 @@ type Tree struct {
 
 // New returns an empty tree.
 func New() *Tree {
-	return &Tree{over: make(map[string]string)}
+	return &Tree{over: make(map[string]*file)}
 }
 
 // Clean normalizes a tree path: slash-separated, no leading "./", no
@@ -71,18 +76,18 @@ func Clean(p string) string {
 	return p
 }
 
-func (t *Tree) lookup(p string) (string, bool) {
-	if c, ok := t.over[p]; ok {
-		return c, true
+func (t *Tree) lookup(p string) (*file, bool) {
+	if f, ok := t.over[p]; ok {
+		return f, true
 	}
 	if t.base == nil {
-		return "", false
+		return nil, false
 	}
 	if _, ok := t.gone[p]; ok {
-		return "", false
+		return nil, false
 	}
-	c, ok := t.base.files[p]
-	return c, ok
+	f, ok := t.base.files[p]
+	return f, ok
 }
 
 func (t *Tree) inBase(p string) bool {
@@ -103,7 +108,7 @@ func (t *Tree) overgrown() bool {
 func (t *Tree) Write(p, content string) {
 	p = Clean(p)
 	had := len(t.over)
-	t.over[p] = content
+	t.over[p] = &file{content: content}
 	if len(t.over) == had {
 		return // replaced an earlier write
 	}
@@ -122,11 +127,11 @@ func (t *Tree) Write(p, content string) {
 
 // Read returns the content of the file at p.
 func (t *Tree) Read(p string) (string, error) {
-	c, ok := t.lookup(Clean(p))
+	f, ok := t.lookup(Clean(p))
 	if !ok {
 		return "", fmt.Errorf("%w: %s", ErrNotExist, p)
 	}
-	return c, nil
+	return f.content, nil
 }
 
 // Exists reports whether a file exists at p. Directories are implicit:
@@ -216,7 +221,7 @@ func (t *Tree) under(prefix string) []string {
 // copies.
 func (t *Tree) Clone() *Tree {
 	if t.base == nil || t.overgrown() {
-		return &Tree{base: t.merged(), over: make(map[string]string), n: t.n}
+		return &Tree{base: t.merged(), over: make(map[string]*file), n: t.n}
 	}
 	return &Tree{base: t.base, over: maps.Clone(t.over), gone: maps.Clone(t.gone), n: t.n}
 }
@@ -224,13 +229,13 @@ func (t *Tree) Clone() *Tree {
 // fold replaces the tree's base with one holding all of its files.
 func (t *Tree) fold() {
 	t.base = t.merged()
-	t.over = make(map[string]string)
+	t.over = make(map[string]*file)
 	t.gone = nil
 }
 
 // merged returns a new base holding the tree's files. It only reads t.
 func (t *Tree) merged() *layer {
-	var files map[string]string
+	var files map[string]*file
 	if t.base == nil {
 		files = maps.Clone(t.over)
 	} else {
@@ -249,8 +254,8 @@ type WalkFunc func(path, content string) error
 // Walk visits every file in sorted path order, stopping at the first error.
 func (t *Tree) Walk(fn WalkFunc) error {
 	for _, p := range t.Paths() {
-		c, _ := t.lookup(p)
-		if err := fn(p, c); err != nil {
+		f, _ := t.lookup(p)
+		if err := fn(p, f.content); err != nil {
 			return err
 		}
 	}

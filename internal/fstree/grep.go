@@ -1,0 +1,97 @@
+package fstree
+
+import (
+	"strings"
+	"sync/atomic"
+)
+
+// file is one version of a file: its content and, once a query has read
+// it, the trigram signature of that content. Write makes a new version,
+// and nothing changes a version's content afterwards, so trees that share
+// a version share its signature.
+type file struct {
+	content string
+	// sig is computed lazily by Containing. Trees that share versions
+	// are read from several goroutines, hence the atomic pointer.
+	sig atomic.Pointer[signature]
+}
+
+// sigBits is the size of a signature, 2^sigLog bits. At 2,048 bits, over
+// the header hunts of an evaluation window, signatures let through one
+// false positive, which strings.Contains then rejects, per eight true
+// candidates, and the hunts read under 0.5% of the files they visit.
+const (
+	sigLog  = 11
+	sigBits = 1 << sigLog
+)
+
+// signature is a Bloom-style set of the byte trigrams of a text, as in
+// Cox's trigram index (https://swtch.com/~rsc/regexp/regexp4.html): a text
+// can contain a needle only if its signature holds every bit of the
+// needle's.
+type signature [sigBits / 64]uint64
+
+// add sets one bit for each byte trigram of text.
+func (s *signature) add(text string) {
+	if len(text) < 3 {
+		return
+	}
+	tri := uint32(text[0])<<8 | uint32(text[1])
+	for i := 2; i < len(text); i++ {
+		tri = (tri<<8 | uint32(text[i])) & 0xffffff
+		h := tri * 0x9e3779b1 >> (32 - sigLog) // Fibonacci hashing
+		s[h>>6] |= 1 << (h & 63)
+	}
+}
+
+// covers reports whether s holds every bit of n.
+func (s *signature) covers(n *signature) bool {
+	for i := range s {
+		if n[i]&^s[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// signature returns f's signature, computing it on first use. Goroutines
+// that race on a first use each compute it and store equal values.
+func (f *file) signature() *signature {
+	if s := f.sig.Load(); s != nil {
+		return s
+	}
+	s := new(signature)
+	s.add(f.content)
+	f.sig.Store(s)
+	return s
+}
+
+// Containing returns, in path order, the paths that end in suffix and
+// whose content contains at least one of needles. The answer is exactly
+// that of strings.Contains over every such file: signatures only skip a
+// file that lacks some trigram of every needle, and each file they let
+// through is confirmed with strings.Contains. A needle shorter than three
+// bytes has no trigrams, so it is tested against every file, and "" matches
+// every file. A file version's signature is computed by the first query
+// that reads the version.
+func (t *Tree) Containing(suffix string, needles []string) []string {
+	sigs := make([]signature, len(needles))
+	for i, n := range needles {
+		sigs[i].add(n)
+	}
+	var out []string
+	for _, p := range t.Paths() {
+		if !strings.HasSuffix(p, suffix) {
+			continue
+		}
+		f, _ := t.lookup(p)
+		s := f.signature()
+		for i, n := range needles {
+			if s.covers(&sigs[i]) && strings.Contains(f.content, n) {
+				out = append(out, p)
+				break
+			}
+		}
+	}
+	return out
+}

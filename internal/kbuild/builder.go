@@ -341,22 +341,20 @@ func (b *Builder) MakeI(files []string) ([]IFile, time.Duration) {
 			results = append(results, r)
 			continue
 		}
-		res, err := cpp.Preprocess(TreeSource{b.Tree}, r.Path, b.cppOptions(v == kconfig.Mod))
+		text, work, err := b.preprocessMiss(p, r.Path, v == kconfig.Mod)
 		if stored == nil {
 			stored = make(map[uint64]bool)
 		}
 		stored[p.Key] = true
 		if err != nil {
-			p.StoreFailure(res.Inputs, res.Missing, err.Error())
 			r.Err = err
 			results = append(results, r)
 			continue
 		}
-		r.Text = res.Output
-		r.Work = vclock.FileWork{Lines: res.InputLines, Includes: res.Includes}
-		// Store the clean text before the truncation fault is applied, so
-		// an injected truncation is never served to a later probe.
-		p.StoreI(res.Inputs, res.Missing, res.Output, r.Work)
+		r.Text, r.Work = text, work
+		// preprocessMiss stored the clean text before the truncation fault
+		// is applied, so an injected truncation is never served to a later
+		// probe.
 		if b.Faults.TruncateI(b.Arch.Name + ":i:" + r.Path) {
 			r.Text = r.Text[:len(r.Text)/2]
 		}
@@ -398,6 +396,22 @@ func (b *Builder) MakeI(files []string) ([]IFile, time.Duration) {
 		b.Trace.Close(span)
 	}
 	return results, dur
+}
+
+// preprocessMiss preprocesses path after p missed and finishes p with the
+// outcome. The deferred Cancel releases p's in-flight slot when cpp
+// panics, so later probes of its key do not wait forever; after a store it
+// does nothing.
+func (b *Builder) preprocessMiss(p *ccache.Probe, path string, asModule bool) (string, vclock.FileWork, error) {
+	defer p.Cancel()
+	res, err := cpp.Preprocess(TreeSource{b.Tree}, path, b.cppOptions(asModule))
+	if err != nil {
+		p.StoreFailure(res.Inputs, res.Missing, err.Error())
+		return "", vclock.FileWork{}, err
+	}
+	work := vclock.FileWork{Lines: res.InputLines, Includes: res.Includes}
+	p.StoreI(res.Inputs, res.Missing, res.Output, work)
+	return res.Output, work, nil
 }
 
 // outcomeOf classifies a make result for span attributes. Every class is
@@ -487,6 +501,9 @@ func (b *Builder) makeO(file string, v kconfig.Value, reachErr error) (cc.Object
 	}
 	if b.Results != nil {
 		p := b.cacheContext(ccache.StageO, v == kconfig.Mod).Probe(TreeSource{b.Tree}, file)
+		// Release a miss's in-flight slot when cpp or cc panics; after a
+		// hit or a store, Cancel does nothing.
+		defer p.Cancel()
 		if p.Hit {
 			probe := b.Model.CacheProbe(p.Deps, key)
 			if p.Failed {

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"jmake/internal/ccache"
+	"jmake/internal/cpp"
 	"jmake/internal/faultinject"
 	"jmake/internal/fstree"
 	"jmake/internal/kconfig"
@@ -107,6 +109,46 @@ func TestCacheMakeOHitEquality(t *testing.T) {
 	}
 	if st := rc.Stats(); st.MakeO.Hits != 1 || st.MakeO.Misses != 1 {
 		t.Errorf("MakeO counters = %+v", st.MakeO)
+	}
+}
+
+// A panic between a missed probe and its store must release the probe
+// key's in-flight slot. jmaked recovers a check's panic and keeps its
+// session, so a stranded slot would block every later probe of the key.
+func TestCachePanicReleasesProbe(t *testing.T) {
+	const file = "drivers/net/netdrv.c"
+	tr := cacheTree(t)
+	for _, stage := range []ccache.Stage{ccache.StageI, ccache.StageO} {
+		b := cachedBuilder(t, tr, "x86_64", cfgWith("NETDRV", "NET"), ccache.New())
+		v, err := b.Reachable(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A TokenCache not made by NewTokenCache panics on its first scan
+		// (nil shard map), which stands in for a bug in cpp.Preprocess.
+		opts := b.cppOptions(v == kconfig.Mod)
+		opts.Cache = new(cpp.TokenCache)
+		b.optsNonMod, b.optsMod = opts, opts
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("stage %d: the broken token cache did not panic", stage)
+				}
+			}()
+			if stage == ccache.StageI {
+				b.MakeI([]string{file})
+			} else {
+				_, _, _ = b.MakeO(file)
+			}
+		}()
+		done := make(chan *ccache.Probe, 1)
+		go func() { done <- b.cacheContext(stage, v == kconfig.Mod).Probe(TreeSource{tr}, file) }()
+		select {
+		case p := <-done:
+			p.Cancel()
+		case <-time.After(2 * time.Second):
+			t.Fatalf("stage %d: a probe of the panicked key is still blocked after 2 s", stage)
+		}
 	}
 }
 
