@@ -14,10 +14,13 @@ test:
 	$(GO) test ./...
 
 # The second line repeats the copy-on-write tree's concurrency test, whose
-# goroutines clone, write and query trees that share file versions.
+# goroutines clone, write and query trees that share file versions; the
+# third repeats the preprocessor's, whose goroutines expand the same cached
+# line tokens and predefined macro bodies.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run TestConcurrentClones ./internal/fstree/
+	$(GO) test -race -count=10 -run TestConcurrentPreprocessSharesTokens ./internal/cpp/
 
 # Quick iteration loop: skips the long chaos seed sweeps.
 short:
@@ -54,12 +57,17 @@ audit-smoke:
 # panic the Kbuild walk or make Reachable disagree with FileGate, and
 # copy-on-write trees must answer every query like plain maps, with no
 # write leaking between a clone and its source and with Containing's
-# trigram prefilter answering exactly as strings.Contains over each file.
+# trigram prefilter answering exactly as strings.Contains over each file,
+# the preprocessor must give the same result with and without its token
+# cache (and again through a warm one), and the compiler front end must
+# never panic and must scan .i text as a plain line split would.
 fuzz:
 	$(GO) test ./internal/presence/ -run '^$$' -fuzz FuzzPresenceParse -fuzztime 10s
 	$(GO) test ./internal/presence/ -run '^$$' -fuzz FuzzStaticDynamicAgree -fuzztime 10s
 	$(GO) test ./internal/kbuild/ -run '^$$' -fuzz FuzzParseMakefile -fuzztime 10s
 	$(GO) test ./internal/fstree/ -run '^$$' -fuzz FuzzTreeOps -fuzztime 10s
+	$(GO) test ./internal/cpp/ -run '^$$' -fuzz FuzzPreprocess -fuzztime 10s
+	$(GO) test ./internal/cc/ -run '^$$' -fuzz FuzzCompile -fuzztime 10s
 
 bench-witness:
 	$(GO) test ./internal/core/ -run '^$$' -bench BenchmarkWitnessedIn -benchmem

@@ -145,33 +145,45 @@ func Compile(iText string) (Object, error) {
 }
 
 // scan lexes the .i text, resolving line markers into per-token positions.
+// It walks the text in place, one line at a time, and sizes the token
+// slice once from the text length.
 func scan(iText string) ([]tok, int) {
-	var out []tok
+	out := make([]tok, 0, len(iText)/4)
+	var lineToks []cpp.Token // reused for every line
 	file := "<unknown>"
 	line := 0
 	codeLines := 0
-	for _, raw := range strings.Split(iText, "\n") {
-		if strings.HasPrefix(raw, "# ") {
-			// Line marker: # <line> "<file>" [flags]
-			if f, l, ok := parseMarker(raw); ok {
-				file, line = f, l-1
-				continue
+	for rest := iText; ; {
+		raw, more := rest, false
+		if i := strings.IndexByte(rest, '\n'); i >= 0 {
+			raw, rest, more = rest[:i], rest[i+1:], true
+		}
+		if f, l, ok := parseMarker(raw); ok {
+			file, line = f, l-1
+		} else {
+			line++
+			if strings.TrimSpace(raw) != "" {
+				codeLines++
+				lineToks = cpp.AppendLex(lineToks[:0], raw)
+				for _, t := range lineToks {
+					out = append(out, tok{Token: t, file: file, line: line})
+				}
 			}
 		}
-		line++
-		if strings.TrimSpace(raw) == "" {
-			continue
-		}
-		codeLines++
-		for _, t := range cpp.Lex(raw) {
-			out = append(out, tok{Token: t, file: file, line: line})
+		if !more {
+			return out, codeLines
 		}
 	}
-	return out, codeLines
 }
 
+// parseMarker reads a line marker: # <line> "<file>" [flags]. The file
+// name is a Go-quoted string, as cpp writes it; a name that does not
+// unquote is read up to the next '"'.
 func parseMarker(s string) (file string, line int, ok bool) {
-	rest := strings.TrimPrefix(s, "# ")
+	rest, isMarker := strings.CutPrefix(s, "# ")
+	if !isMarker {
+		return "", 0, false
+	}
 	sp := strings.IndexByte(rest, ' ')
 	if sp < 0 {
 		return "", 0, false
@@ -183,6 +195,11 @@ func parseMarker(s string) (file string, line int, ok bool) {
 	rest = rest[sp+1:]
 	if !strings.HasPrefix(rest, "\"") {
 		return "", 0, false
+	}
+	if q, err := strconv.QuotedPrefix(rest); err == nil {
+		if f, err := strconv.Unquote(q); err == nil {
+			return f, n, true
+		}
 	}
 	end := strings.Index(rest[1:], "\"")
 	if end < 0 {

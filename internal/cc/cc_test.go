@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"jmake/internal/cpp"
 )
 
 // compileOK asserts success and returns the object.
@@ -73,6 +75,29 @@ func TestLineMarkersMapPositions(t *testing.T) {
 	if diags[0].Line != 40 {
 		t.Errorf("line = %d, want 40 (from marker)", diags[0].Line)
 	}
+
+	// cpp quotes marker file names, so a header path holding '"' or '\'
+	// must come back whole.
+	files := mapSource{
+		"main.c":           "#include <we\"ird\\x.h>\nint main_fn;\n",
+		"inc/we\"ird\\x.h": "int v = @;\n",
+	}
+	res, err := cpp.Preprocess(files, "main.c", cpp.Options{IncludeDirs: []string{"inc"}})
+	if err != nil {
+		t.Fatalf("Preprocess: %v", err)
+	}
+	_, err = Compile(res.Output)
+	if want := `inc/we"ird\x.h:1: error: stray "@" in program`; err == nil || err.Error() != want {
+		t.Errorf("Compile error = %v, want %s", err, want)
+	}
+}
+
+// mapSource is a cpp.Source backed by a map.
+type mapSource map[string]string
+
+func (m mapSource) ReadFile(p string) (string, bool) {
+	c, ok := m[p]
+	return c, ok
 }
 
 func TestImplicitDeclaration(t *testing.T) {

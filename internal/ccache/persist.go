@@ -16,7 +16,9 @@ import (
 // persistVersion guards the on-disk format: a file written by a different
 // version is ignored wholesale (cold start, never an error). Version 2
 // keys entries by options fingerprints that fold a define-set digest.
-const persistVersion = 2
+// Version 3: a stored StageO failure names a header whose path holds '"'
+// or '\' by its whole path, because cc unquotes line-marker file names.
+const persistVersion = 3
 
 // persistFile is the cache's file name under the -cache-dir directory.
 const persistFile = "jmake-ccache.json"

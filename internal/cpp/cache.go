@@ -17,9 +17,12 @@ import (
 // expansion still run per inclusion (they depend on the macro state),
 // but the lexing does not.
 //
-// Cached tokens are shared between preprocessor runs. This is safe
-// because the expansion pipeline treats tokens as values: worklists copy
-// token structs, and hide-set updates copy the slice (see Token.withHide).
+// Cached tokens are shared between preprocessor runs, concurrent ones
+// included, and nothing may write to them. Expansion never writes to its
+// input (see expandTokens); hide sets are immutable and shared, never
+// updated in place (see hideSet); and each line's tokens are a
+// capacity-capped window of the file's one token array, so an append to
+// one line copies it instead of overwriting the next line.
 //
 // A TokenCache is safe for concurrent use. Each key is computed exactly
 // once: concurrent first requests for the same content elect one computer
@@ -131,12 +134,32 @@ func (c *TokenCache) scan(path, content string) ([]logicalLine, [][]Token) {
 
 	e.once.Do(func() {
 		e.lines = logicalLines(content)
-		e.toks = make([][]Token, len(e.lines))
-		for i, ll := range e.lines {
-			e.toks[i] = Lex(ll.text)
-		}
+		e.toks = lexLines(e.lines, len(content))
 	})
 	return e.lines, e.toks
+}
+
+// lexLines lexes every line into one exact-size token array and returns
+// each line's tokens as a capacity-capped sub-slice (all[i:j:j]), so an
+// append to one line can never write into the next. size is the length
+// of the content the lines came from; a quarter of it is the first guess
+// at the token count (source runs about four bytes per token).
+func lexLines(lines []logicalLine, size int) [][]Token {
+	ends := make([]int, len(lines))
+	all := make([]Token, 0, size/4+1)
+	for i, ll := range lines {
+		all = AppendLex(all, ll.text)
+		ends[i] = len(all)
+	}
+	exact := make([]Token, len(all))
+	copy(exact, all)
+	toks := make([][]Token, len(lines))
+	start := 0
+	for i, end := range ends {
+		toks[i] = exact[start:end:end]
+		start = end
+	}
+	return toks
 }
 
 // PredefinedFor returns the shared pre-lexed macro set for key, building

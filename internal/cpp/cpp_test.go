@@ -491,22 +491,6 @@ func TestFuncMacroWithoutParensStaysLiteral(t *testing.T) {
 	}
 }
 
-func TestDefinedMacroNames(t *testing.T) {
-	src := `#ifndef H
-#define H
-#define REG_CTRL(x) ((x) << 2)
-#define MAX_UNITS 8
-/* #define IN_COMMENT 1 */
-#endif
-#define H
-`
-	got := DefinedMacroNames(src)
-	want := []string{"H", "REG_CTRL", "MAX_UNITS"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("DefinedMacroNames = %v, want %v", got, want)
-	}
-}
-
 func TestInputLinesCounted(t *testing.T) {
 	files := map[string]string{
 		"main.c": "#include \"h.h\"\nint a;\nint b;\n",

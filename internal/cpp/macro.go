@@ -33,11 +33,22 @@ func (m *Macro) paramIndex(name string) int {
 // formulation of the standard algorithm: replacement tokens are pushed back
 // onto the front of the worklist so that later tokens can complete
 // function-like invocations begun by an expansion.
+//
+// Nothing writes to ts, or to any slice reachable from it: the worklist
+// starts as a sub-slice of ts and only ever shrinks from the front, and a
+// replacement is pushed by appending the rest of the worklist into the
+// replacement's own array. Cached line tokens and predefined macro bodies
+// are shared by concurrent runs, so this is what makes sharing them safe.
+// When no token of ts can expand, expandTokens returns ts itself and
+// allocates nothing.
 func (p *pp) expandTokens(ts []Token) ([]Token, error) {
-	var out []Token
-	work := make([]Token, len(ts))
-	copy(work, ts)
-	steps := 0
+	first := p.firstExpandable(ts)
+	if first == len(ts) {
+		return ts, nil
+	}
+	out := append(make([]Token, 0, len(ts)), ts[:first]...)
+	work := ts[first:]
+	steps := first
 	for len(work) > 0 {
 		steps++
 		if steps > 1_000_000 {
@@ -98,6 +109,31 @@ func (p *pp) expandTokens(ts []Token) ([]Token, error) {
 	return out, nil
 }
 
+// firstExpandable returns the index of the first token of ts that
+// expansion would change, or len(ts) when there is none: an identifier
+// naming a macro outside its own hide set, a dynamic built-in, or, while
+// an #if is being expanded, `defined`.
+func (p *pp) firstExpandable(ts []Token) int {
+	for i := range ts {
+		t := &ts[i]
+		if t.Kind != KindIdent {
+			continue
+		}
+		switch t.Text {
+		case "__LINE__", "__FILE__", "__COUNTER__":
+			return i
+		case "defined":
+			if p.inCond {
+				return i
+			}
+		}
+		if _, ok := p.macroFor(t.Text); ok && !t.hidden(t.Text) {
+			return i
+		}
+	}
+	return len(ts)
+}
+
 // definedOperandLen is the length of the `NAME` or `( NAME )` operand at
 // the front of ts, or 0 when none is there.
 func definedOperandLen(ts []Token) int {
@@ -112,13 +148,26 @@ func definedOperandLen(ts []Token) int {
 
 // hideAll extends every replacement token's hide set with the invoking
 // token's hide set plus the expanded macro's own name, so that indirect
-// recursion (A -> B -> A) is blocked as the standard requires.
-func hideAll(rep []Token, inherited []string, name string) {
+// recursion (A -> B -> A) is blocked as the standard requires. Tokens that
+// arrive with the same set share one extended set, built once.
+func hideAll(rep []Token, inherited *hideSet, name string) {
+	type extension struct{ from, to *hideSet }
+	var buf [4]extension
+	built := buf[:0]
 	for i := range rep {
-		for _, h := range inherited {
-			rep[i] = rep[i].withHide(h)
+		h := rep[i].hide
+		j := 0
+		for j < len(built) && built[j].from != h {
+			j++
 		}
-		rep[i] = rep[i].withHide(name)
+		if j == len(built) {
+			to := h
+			for in := inherited; in != nil; in = in.next {
+				to = to.with(in.name)
+			}
+			built = append(built, extension{h, to.with(name)})
+		}
+		rep[i].hide = built[j].to
 	}
 }
 

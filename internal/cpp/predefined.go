@@ -12,9 +12,9 @@ import (
 // *Macro values through a two-level lookup instead of re-lexing thousands
 // of define bodies per file — the dominant per-file cost before this
 // existed. Sharing the Macro values across concurrent runs is safe for
-// the same reason TokenCache entries are: the expansion pipeline treats
-// macro bodies as read-only values (substitution copies tokens, hide-set
-// updates copy the slice).
+// the same reason TokenCache entries are: nothing writes to an
+// expansion's input (see expandTokens), and substitution copies body
+// tokens into a fresh replacement before extending their hide sets.
 type Predefined struct {
 	macros map[string]*Macro
 	// digest is DefinesDigest of the set, computed while lexing it, so a

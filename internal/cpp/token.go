@@ -13,7 +13,7 @@ package cpp
 import "strings"
 
 // Kind classifies a preprocessing token.
-type Kind int
+type Kind uint8
 
 // Token kinds. KindOther covers characters outside the C source character
 // set (e.g. '@', '$', '`'), which a conforming preprocessor must preserve.
@@ -26,37 +26,46 @@ const (
 	KindOther
 )
 
-// Token is one preprocessing token.
+// Token is one preprocessing token. Its fields are ordered so that a
+// Token is 32 bytes on 64-bit hosts: token slices are the bulk of what
+// the preprocessor and the compiler front end allocate.
 type Token struct {
 	Kind Kind
-	Text string
 	WS   bool // preceded by whitespace (controls spacing in output)
-	hide []string
+	Text string
+	hide *hideSet
 }
 
-// hidden reports whether macro name is in the token's hide set, i.e. the
-// token was produced by an expansion of that macro and must not trigger it
-// again.
-func (t Token) hidden(name string) bool {
-	for _, h := range t.hide {
-		if h == name {
+// hideSet is an immutable set of macro names, linked from the newest
+// name. Tokens share sets: adding a name makes a new head over the old
+// set and never writes to a set another token may hold.
+type hideSet struct {
+	name string
+	next *hideSet
+}
+
+// has reports whether name is in the set.
+func (h *hideSet) has(name string) bool {
+	for ; h != nil; h = h.next {
+		if h.name == name {
 			return true
 		}
 	}
 	return false
 }
 
-// withHide returns a copy of t whose hide set additionally contains name.
-func (t Token) withHide(name string) Token {
-	if t.hidden(name) {
-		return t
+// with returns the set plus name, sharing h.
+func (h *hideSet) with(name string) *hideSet {
+	if h.has(name) {
+		return h
 	}
-	nh := make([]string, len(t.hide)+1)
-	copy(nh, t.hide)
-	nh[len(t.hide)] = name
-	t.hide = nh
-	return t
+	return &hideSet{name: name, next: h}
 }
+
+// hidden reports whether macro name is in the token's hide set, i.e. the
+// token was produced by an expansion of that macro and must not trigger it
+// again.
+func (t Token) hidden(name string) bool { return t.hide.has(name) }
 
 // isIdentStart and isIdentCont define C identifier characters.
 func isIdentStart(c byte) bool {
@@ -69,20 +78,14 @@ func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\v' || c == '\f' || c == '\r' }
 
-// multi-character punctuators, longest first so greedy matching works.
-var punctuators = []string{
-	"...", "<<=", ">>=",
-	"##", "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=",
-	"&&", "||", "+=", "-=", "*=", "/=", "%=", "&=", "^=", "|=",
-	"#", "[", "]", "(", ")", "{", "}", ".", "&", "*", "+", "-", "~", "!",
-	"/", "%", "<", ">", "^", "|", "?", ":", ";", "=", ",",
-}
-
 // Lex splits one logical line into preprocessing tokens. It never fails:
 // unknown characters become KindOther tokens and unterminated literals
 // extend to the end of the line.
-func Lex(s string) []Token {
-	var out []Token
+func Lex(s string) []Token { return AppendLex(nil, s) }
+
+// AppendLex appends the tokens of one logical line to dst, as Lex would
+// return them, and returns the extended slice.
+func AppendLex(dst []Token, s string) []Token {
 	i := 0
 	ws := false
 	n := len(s)
@@ -124,18 +127,18 @@ func Lex(s string) []Token {
 			kind = KindChar
 			i = scanLiteral(s, i, '\'')
 		default:
-			if p := matchPunct(s[i:]); p != "" {
+			if l := matchPunct(s[i:]); l > 0 {
 				kind = KindPunct
-				i += len(p)
+				i += l
 			} else {
 				kind = KindOther
 				i++
 			}
 		}
-		out = append(out, Token{Kind: kind, Text: s[start:i], WS: ws})
+		dst = append(dst, Token{Kind: kind, Text: s[start:i], WS: ws})
 		ws = false
 	}
-	return out
+	return dst
 }
 
 // scanLiteral scans a string or char literal starting at the opening quote
@@ -157,13 +160,30 @@ func scanLiteral(s string, i int, q byte) int {
 	return n
 }
 
-func matchPunct(s string) string {
-	for _, p := range punctuators {
-		if strings.HasPrefix(s, p) {
-			return p
+// matchPunct returns the length of the longest punctuator that s starts
+// with, or 0 when s starts with none.
+func matchPunct(s string) int {
+	if len(s) >= 3 {
+		switch s[:3] {
+		case "...", "<<=", ">>=":
+			return 3
 		}
 	}
-	return ""
+	if len(s) >= 2 {
+		switch s[:2] {
+		case "##", "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=",
+			"&&", "||", "+=", "-=", "*=", "/=", "%=", "&=", "^=", "|=":
+			return 2
+		}
+	}
+	if len(s) >= 1 {
+		switch s[0] {
+		case '#', '[', ']', '(', ')', '{', '}', '.', '&', '*', '+', '-', '~', '!',
+			'/', '%', '<', '>', '^', '|', '?', ':', ';', '=', ',':
+			return 1
+		}
+	}
+	return 0
 }
 
 // renderTokens reconstructs source text from tokens, inserting a space
@@ -171,13 +191,18 @@ func matchPunct(s string) string {
 // them into one.
 func renderTokens(ts []Token) string {
 	var b strings.Builder
+	writeTokens(&b, ts)
+	return b.String()
+}
+
+// writeTokens writes the text renderTokens returns to b.
+func writeTokens(b *strings.Builder, ts []Token) {
 	for i, t := range ts {
 		if i > 0 && (t.WS || needsSpace(ts[i-1], t)) {
 			b.WriteByte(' ')
 		}
 		b.WriteString(t.Text)
 	}
-	return b.String()
 }
 
 // needsSpace reports whether a and b would lex as a different token
@@ -196,7 +221,7 @@ func needsSpace(a, b Token) bool {
 	case a.Kind == KindPunct && b.Kind == KindPunct:
 		// Separate only when gluing would form a longer punctuator
 		// ("+ +" would lex as "++", but "( (" is fine).
-		return len(matchPunct(a.Text+b.Text)) > len(a.Text)
+		return matchPunct(a.Text+b.Text) > len(a.Text)
 	}
 	return false
 }
