@@ -59,8 +59,12 @@ audit-smoke:
 # write leaking between a clone and its source and with Containing's
 # trigram prefilter answering exactly as strings.Contains over each file,
 # the preprocessor must give the same result with and without its token
-# cache (and again through a warm one), and the compiler front end must
-# never panic and must scan .i text as a plain line split would.
+# cache (and again through a warm one), the compiler front end must
+# never panic, must scan .i text as a plain line split would and must
+# find the definitions a forward scan per call finds, the patch parser
+# must never panic, never return hunks without both paths and must
+# round-trip a Myers diff, and a Kconfig root sourcing a second file must
+# never panic the parser or the valuations.
 fuzz:
 	$(GO) test ./internal/presence/ -run '^$$' -fuzz FuzzPresenceParse -fuzztime 10s
 	$(GO) test ./internal/presence/ -run '^$$' -fuzz FuzzStaticDynamicAgree -fuzztime 10s
@@ -68,6 +72,8 @@ fuzz:
 	$(GO) test ./internal/fstree/ -run '^$$' -fuzz FuzzTreeOps -fuzztime 10s
 	$(GO) test ./internal/cpp/ -run '^$$' -fuzz FuzzPreprocess -fuzztime 10s
 	$(GO) test ./internal/cc/ -run '^$$' -fuzz FuzzCompile -fuzztime 10s
+	$(GO) test ./internal/textdiff/ -run '^$$' -fuzz FuzzParsePatch -fuzztime 10s
+	$(GO) test ./internal/kconfig/ -run '^$$' -fuzz FuzzKconfigParse -fuzztime 10s
 
 bench-witness:
 	$(GO) test ./internal/core/ -run '^$$' -bench BenchmarkWitnessedIn -benchmem

@@ -246,68 +246,66 @@ func checkBalance(toks []tok, addDiag func(Diagnostic)) {
 
 // collectDeclarations gathers function names declared or defined at file
 // scope: an identifier immediately followed by '(' at brace depth 0. It
-// also returns the subset that are *definitions* (their parameter list is
-// followed by '{').
+// also returns the subset that are *definitions*, in token order: those
+// whose parameter list, once its ')' closes it, is followed by a '{'
+// before any ';', ',' or '='. One pass resolves them all: a stack of open
+// parens marks the ones a candidate opened, and every candidate closed
+// since the last terminator is resolved at the next one, so a long run of
+// file-scope calls with no terminator costs linear time.
 func collectDeclarations(toks []tok) (declared map[string]bool, defined []string) {
 	declared = make(map[string]bool)
+	type candidate struct {
+		name    string
+		defined bool
+	}
+	var cands []candidate
+	var parens []int // per open '(': its candidate's index, or -1
+	var closed []int // candidates closed since the last terminator
 	depth := 0
+	next := -1 // the candidate whose '(' is the next token
 	for i, t := range toks {
 		if t.Kind == cpp.KindPunct {
 			switch t.Text {
-			case "{":
-				depth++
+			case "{", ";", ",", "=":
+				for _, c := range closed {
+					cands[c].defined = t.Text == "{"
+				}
+				closed = closed[:0]
+				if t.Text == "{" {
+					depth++
+				}
 			case "}":
 				depth--
+			case "(":
+				parens = append(parens, next)
+			case ")":
+				if n := len(parens); n > 0 {
+					if c := parens[n-1]; c >= 0 {
+						closed = append(closed, c)
+					}
+					parens = parens[:n-1]
+				}
 			}
+			next = -1
 			continue
 		}
+		next = -1
 		if depth != 0 || t.Kind != cpp.KindIdent || isKeyword(t.Text) {
 			continue
 		}
 		if i+1 >= len(toks) || toks[i+1].Kind != cpp.KindPunct || toks[i+1].Text != "(" {
 			continue
 		}
-		if !declared[t.Text] {
-			declared[t.Text] = true
-		}
-		// Definition: scan past the balanced parameter list for '{'.
-		if isDefinition(toks, i+1) {
-			defined = append(defined, t.Text)
+		declared[t.Text] = true
+		next = len(cands)
+		cands = append(cands, candidate{name: t.Text})
+	}
+	for _, c := range cands {
+		if c.defined {
+			defined = append(defined, c.name)
 		}
 	}
 	return declared, defined
-}
-
-// isDefinition reports whether the '(' at toks[open] closes into a '{'
-// (function definition) rather than ';' (prototype).
-func isDefinition(toks []tok, open int) bool {
-	depth := 0
-	for i := open; i < len(toks); i++ {
-		if toks[i].Kind != cpp.KindPunct {
-			continue
-		}
-		switch toks[i].Text {
-		case "(":
-			depth++
-		case ")":
-			depth--
-			if depth == 0 {
-				for j := i + 1; j < len(toks); j++ {
-					if toks[j].Kind == cpp.KindPunct {
-						switch toks[j].Text {
-						case "{":
-							return true
-						case ";", ",", "=":
-							return false
-						}
-					}
-					// Attribute-ish identifiers between ')' and '{' are fine.
-				}
-				return false
-			}
-		}
-	}
-	return false
 }
 
 // checkCalls reports calls to functions that are never declared in the

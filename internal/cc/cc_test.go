@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"jmake/internal/cpp"
 )
@@ -273,4 +274,24 @@ int f(void)
 func TestPrototypePlusDefinitionAllowed(t *testing.T) {
 	src := "# 1 \"a.c\"\nint f(void);\nint f(void)\n{\n return 1;\n}\n"
 	compileOK(t, src)
+}
+
+// Definitions are resolved in one pass: a long run of file-scope calls
+// with no terminator between them must cost linear time (a forward scan
+// per call took seconds here), and Defined keeps token order when an
+// inner candidate resolves before the outer one.
+func TestDefinitionsResolvedInOnePass(t *testing.T) {
+	src := "# 1 \"a.c\"\nvoid a(void);\n" + strings.Repeat("a() ", 32000) + "\n"
+	start := time.Now()
+	obj := compileOK(t, src)
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("32,000 file-scope calls compiled in %v, want under 1s", d)
+	}
+	if obj.Functions != 0 {
+		t.Errorf("Functions = %d, want 0", obj.Functions)
+	}
+	obj = compileOK(t, "# 1 \"a.c\"\ng(h() { }) { }\nint f(void) __attribute__((cold)) { return 0; }\n")
+	if want := []string{"g", "h", "f"}; strings.Join(obj.Defined, " ") != strings.Join(want, " ") {
+		t.Errorf("Defined = %q, want %q", obj.Defined, want)
+	}
 }

@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -32,9 +33,71 @@ func scanReference(iText string) ([]tok, int) {
 	return out, codeLines
 }
 
+// collectDeclarationsReference is collectDeclarations as it was first
+// written: each file-scope candidate scans forward for its definition
+// (isDefinitionReference), which is quadratic in a run of candidates.
+func collectDeclarationsReference(toks []tok) (declared map[string]bool, defined []string) {
+	declared = make(map[string]bool)
+	depth := 0
+	for i, t := range toks {
+		if t.Kind == cpp.KindPunct {
+			switch t.Text {
+			case "{":
+				depth++
+			case "}":
+				depth--
+			}
+			continue
+		}
+		if depth != 0 || t.Kind != cpp.KindIdent || isKeyword(t.Text) {
+			continue
+		}
+		if i+1 >= len(toks) || toks[i+1].Kind != cpp.KindPunct || toks[i+1].Text != "(" {
+			continue
+		}
+		declared[t.Text] = true
+		if isDefinitionReference(toks, i+1) {
+			defined = append(defined, t.Text)
+		}
+	}
+	return declared, defined
+}
+
+// isDefinitionReference reports whether the '(' at toks[open] closes into
+// a '{' (function definition) rather than ';', ',' or '=' (prototype).
+func isDefinitionReference(toks []tok, open int) bool {
+	depth := 0
+	for i := open; i < len(toks); i++ {
+		if toks[i].Kind != cpp.KindPunct {
+			continue
+		}
+		switch toks[i].Text {
+		case "(":
+			depth++
+		case ")":
+			depth--
+			if depth == 0 {
+				for j := i + 1; j < len(toks); j++ {
+					if toks[j].Kind == cpp.KindPunct {
+						switch toks[j].Text {
+						case "{":
+							return true
+						case ";", ",", "=":
+							return false
+						}
+					}
+				}
+				return false
+			}
+		}
+	}
+	return false
+}
+
 // FuzzCompile feeds arbitrary .i text to the compiler front end: it must
-// never panic, and scan must produce the tokens, positions and code-line
-// count that scanReference does.
+// never panic, scan must produce the tokens, positions and code-line
+// count that scanReference does, and collectDeclarations must find the
+// declarations and definitions collectDeclarationsReference does.
 func FuzzCompile(f *testing.F) {
 	for _, s := range compileSeeds(f) {
 		f.Add(s)
@@ -52,6 +115,14 @@ func FuzzCompile(f *testing.F) {
 			if got[i] != want[i] {
 				t.Fatalf("token %d: scan %+v, reference %+v", i, got[i], want[i])
 			}
+		}
+		declared, defined := collectDeclarations(got)
+		wantDeclared, wantDefined := collectDeclarationsReference(got)
+		if !reflect.DeepEqual(declared, wantDeclared) {
+			t.Fatalf("declared %v, reference %v", declared, wantDeclared)
+		}
+		if !reflect.DeepEqual(defined, wantDefined) {
+			t.Fatalf("defined %q, reference %q", defined, wantDefined)
 		}
 		_, _ = Compile(iText)
 	})

@@ -76,16 +76,17 @@ func (s Stage) String() string {
 	return "make_o"
 }
 
-// Stats are one stage's counters. Hits and Misses are worker-count-
-// invariant (compute-exactly-once); Deduped counts hits served for a
-// fingerprint that was stored earlier in the same MakeI invocation
-// (identical translation units preprocessed once per group).
+// Stats are one stage's counters, in the shape of a runtime report's
+// result-cache stage. Hits and Misses are worker-count-invariant
+// (compute-exactly-once); Deduped counts hits served for a fingerprint
+// that was stored earlier in the same MakeI invocation (identical
+// translation units preprocessed once per group).
 type Stats struct {
-	Hits        uint64
-	Misses      uint64
-	Deduped     uint64
-	BytesServed uint64
-	BytesStored uint64
+	Hits        uint64 `json:"hits"`
+	Misses      uint64 `json:"misses"`
+	Deduped     uint64 `json:"deduped"`
+	BytesServed uint64 `json:"bytes_served"`
+	BytesStored uint64 `json:"bytes_stored"`
 }
 
 // HitRate is Hits / (Hits+Misses).
@@ -195,8 +196,10 @@ type Cache struct {
 	// seq is the global recency sequence: one atomic counter instead of a
 	// lock gives LRU ordering a total order across shards.
 	seq    atomic.Uint64
-	loaded atomic.Int64
 	series [numStages]stageSeries
+	// loaded counts entries warm-started from the persistent tier
+	// (result_cache_loaded_entries).
+	loaded *metrics.Counter
 	// loadFailures / saveFailures count persistence problems (corrupt or
 	// version-mismatched files, dropped entries, failed writes). Cold-start
 	// semantics are unchanged — these exist so an operator can tell "cold
@@ -213,6 +216,7 @@ func New() *Cache { return NewIn(metrics.NewRegistry()) }
 // shared session registry owns every cache's numbers.
 func NewIn(reg *metrics.Registry) *Cache {
 	c := &Cache{
+		loaded:       reg.Counter("result_cache_loaded_entries"),
 		loadFailures: reg.Counter("ccache_load_failures"),
 		saveFailures: reg.Counter("ccache_save_failures"),
 	}
@@ -253,7 +257,7 @@ func (c *Cache) Stats() StatsSet {
 		MakeO:         c.series[StageO].snapshot(),
 		Entries:       entries,
 		Bytes:         bytes,
-		LoadedEntries: int(c.loaded.Load()),
+		LoadedEntries: int(c.loaded.Value()),
 		SavedVirtual:  savedI + savedO,
 		SavedMakeI:    savedI,
 		SavedMakeO:    savedO,

@@ -148,7 +148,7 @@ func (c *Cache) Load(dir string) {
 		}
 		c.insertLocked(sh, e)
 		sh.mu.Unlock()
-		c.loaded.Add(1)
+		c.loaded.Inc()
 	}
 	if dropped > 0 {
 		c.notePersistFailure(c.loadFailures, uint64(dropped), fmt.Sprintf("dropped %d corrupt entries from persistent tier", dropped))

@@ -4,8 +4,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"jmake/internal/fstree"
+	"jmake/internal/metrics"
 	"jmake/internal/textdiff"
 	"jmake/internal/vclock"
 )
@@ -114,6 +116,34 @@ func TestResultCacheSharedAcrossCheckers(t *testing.T) {
 	}
 	if st.SavedVirtual <= 0 {
 		t.Fatalf("no effective savings recorded: %+v", st)
+	}
+}
+
+// The warm ledgers are series in the session registry: re-checking the
+// same content serves its valuations from the warm cache, which raises
+// warm_saved_ns{ledger=config}, and SavedEffective sums both ledgers with
+// the result cache's saved total.
+func TestWarmSavedSeriesInRegistry(t *testing.T) {
+	session, err := NewSession(fixtureTree())
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	config := session.Metrics().Counter("warm_saved_ns", metrics.L("ledger", "config"))
+	setup := session.Metrics().Counter("warm_saved_ns", metrics.L("ledger", "setup"))
+	var after []time.Duration
+	for i := 0; i < 2; i++ {
+		tr, fds := cacheFixtureEdit(t)
+		if _, err := session.Checker(tr, vclock.DefaultModel(7), Options{}).CheckPatch("p", fds); err != nil {
+			t.Fatalf("CheckPatch %d: %v", i, err)
+		}
+		after = append(after, config.Duration())
+	}
+	if after[1] <= after[0] {
+		t.Fatalf("second check left warm_saved_ns{ledger=config} at %v (first %v)", after[1], after[0])
+	}
+	st, _ := session.ResultCacheStats()
+	if got, want := session.SavedEffective(), config.Duration()+setup.Duration()+st.SavedVirtual; got != want {
+		t.Fatalf("SavedEffective = %v, want %v", got, want)
 	}
 }
 

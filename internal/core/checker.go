@@ -472,8 +472,8 @@ func (c *Checker) newBuilders(report *PatchReport, mutatedTree *fstree.Tree, arc
 	// into the report (byte-identity), but lands in the saved ledger
 	// instead of effective time.
 	wasWarm := c.warm.markSetup(archName + "|" + choice.Kind.String() + "|" + choice.Path)
-	ib.WarmSetup, ib.SetupSaved = wasWarm, &c.warm.setupSavedNS
-	ob.WarmSetup, ob.SetupSaved = wasWarm, &c.warm.setupSavedNS
+	ib.WarmSetup, ib.SetupSaved = wasWarm, c.warm.setupSaved
+	ob.WarmSetup, ob.SetupSaved = wasWarm, c.warm.setupSaved
 	d := c.model.ConfigCreate(symbols, report.Commit+":"+archName+":"+choice.Kind.String()+choice.Path)
 	report.ConfigDurations = append(report.ConfigDurations, d)
 	c.run.charge(d)
@@ -481,7 +481,7 @@ func (c *Checker) newBuilders(report *PatchReport, mutatedTree *fstree.Tree, arc
 		// The valuation came from the session cache: the charge above stays
 		// (reports price every `make *config` run), the effective cost is
 		// credited back.
-		c.warm.addConfigSaved(d)
+		c.warm.configSaved.AddDuration(d)
 	}
 	if sp := c.rec.Leaf(trace.KindConfig, d,
 		trace.A("arch", archName),

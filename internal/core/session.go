@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"jmake/internal/ccache"
 	"jmake/internal/cpp"
@@ -53,7 +54,7 @@ func NewSession(base *fstree.Tree) (*Session, error) {
 		configs: NewConfigProviderIn(reg),
 		tokens:  cpp.NewTokenCacheIn(reg),
 		results: ccache.NewIn(reg),
-		warm:    newWarmState(),
+		warm:    newWarmState(reg),
 	}, nil
 }
 
@@ -90,8 +91,18 @@ func (s *Session) ResultCacheStats() (ccache.StatsSet, bool) {
 // how much effective time a check costs, never what it says.
 func (s *Session) EnableWarm() {}
 
-// WarmSaved snapshots the session's saved-effective-time ledgers.
-func (s *Session) WarmSaved() WarmLedger { return s.warm.ledger() }
+// SavedEffective is the effective virtual time the session's warmth has
+// saved so far: the warm_saved_ns config and set-up ledgers plus the
+// result cache's saved total. Reported durations always charge the full
+// cold price, so a caller differencing two readings around a check learns
+// that check's effective cost (report total minus the difference).
+func (s *Session) SavedEffective() time.Duration {
+	saved := s.warm.configSaved.Duration() + s.warm.setupSaved.Duration()
+	if s.results != nil {
+		saved += s.results.Stats().SavedVirtual
+	}
+	return saved
+}
 
 // RefreshSummary reports what a Refresh invalidated, for follower
 // per-commit statistics.
@@ -111,12 +122,6 @@ type RefreshSummary struct {
 	// StaticsDropped / SetupDropped count warm-cache entries invalidated.
 	StaticsDropped int
 	SetupDropped   int
-}
-
-// Changed reports whether the refresh invalidated anything.
-func (r RefreshSummary) Changed() bool {
-	return r.MetaReloaded || r.ArchesRebuilt || r.KconfigReset ||
-		len(r.ConfigsInvalidated) > 0 || r.StaticsDropped > 0 || r.SetupDropped > 0
 }
 
 // Refresh advances the session past a commit: given the tree after the

@@ -2,8 +2,8 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
-	"time"
+
+	"jmake/internal/metrics"
 )
 
 // warmState carries the per-session caches and effective-time ledgers that
@@ -26,44 +26,23 @@ type warmState struct {
 	// setupDone marks arch|kind|path builder contexts whose one-time make
 	// set-up already ran this session — the analogue of a build directory
 	// that survives between commits. Builders for a marked context get
-	// WarmSetup and their charged set-up price lands in setupSavedNS.
+	// WarmSetup and their charged set-up price lands in setupSaved.
 	setupDone map[string]bool
 
-	// Ledgers (atomic nanoseconds; written from builder/checker hot paths,
-	// read by the follower between commits).
-	configSavedNS int64
-	setupSavedNS  int64
+	// Ledgers, nanosecond series in the session registry: configSaved
+	// (warm_saved_ns{ledger=config}) is charged `make *config` time served
+	// from the warm valuation cache, setupSaved
+	// (warm_saved_ns{ledger=setup}) is charged per-builder set-up time for
+	// (arch, config) contexts whose set-up already ran this session.
+	configSaved, setupSaved *metrics.Counter
 }
 
-func newWarmState() *warmState {
+func newWarmState(reg *metrics.Registry) *warmState {
 	return &warmState{
-		statics:   make(map[string]*archStatic),
-		setupDone: make(map[string]bool),
-	}
-}
-
-// WarmLedger is a snapshot of the session's saved-effective-time ledgers.
-// The follower differences two snapshots around a commit to price that
-// commit's effective cost: report total minus what warmth absorbed.
-type WarmLedger struct {
-	// ConfigSaved is charged `make *config` time served from the warm
-	// valuation cache.
-	ConfigSaved time.Duration
-	// SetupSaved is charged per-builder set-up time for (arch, config)
-	// contexts whose set-up already ran this session.
-	SetupSaved time.Duration
-}
-
-func (w *warmState) ledger() WarmLedger {
-	return WarmLedger{
-		ConfigSaved: time.Duration(atomic.LoadInt64(&w.configSavedNS)),
-		SetupSaved:  time.Duration(atomic.LoadInt64(&w.setupSavedNS)),
-	}
-}
-
-func (w *warmState) addConfigSaved(d time.Duration) {
-	if d > 0 {
-		atomic.AddInt64(&w.configSavedNS, int64(d))
+		statics:     make(map[string]*archStatic),
+		setupDone:   make(map[string]bool),
+		configSaved: reg.Counter("warm_saved_ns", metrics.L("ledger", "config")),
+		setupSaved:  reg.Counter("warm_saved_ns", metrics.L("ledger", "setup")),
 	}
 }
 

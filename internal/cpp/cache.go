@@ -19,10 +19,11 @@ import (
 //
 // Cached tokens are shared between preprocessor runs, concurrent ones
 // included, and nothing may write to them. Expansion never writes to its
-// input (see expandTokens); hide sets are immutable and shared, never
-// updated in place (see hideSet); and each line's tokens are a
-// capacity-capped window of the file's one token array, so an append to
-// one line copies it instead of overwriting the next line.
+// input (see expandTokens); a #define's body keeps its line's tokens, and
+// nothing writes to a macro body (see Macro); hide sets are immutable and
+// shared, never updated in place (see hideSet); and each line's tokens
+// are a capacity-capped window of the file's one token array, so an
+// append to one line copies it instead of overwriting the next line.
 //
 // A TokenCache is safe for concurrent use. Each key is computed exactly
 // once: concurrent first requests for the same content elect one computer

@@ -53,14 +53,30 @@ func TestObjectMacro(t *testing.T) {
 	}
 }
 
+// A replacement's first token takes the invocation's leading whitespace,
+// never the body's: the bodies below start after extra whitespace with a
+// # operand, a ## chain and a parameter whose argument is empty.
 func TestFunctionMacroWithArgs(t *testing.T) {
-	src := `#define MUX(x) (((x) & 0xf) << 4)
-int v = MUX(chan);
-`
-	res := run(t, map[string]string{"main.c": src}, Options{})
-	got := body(res)
-	if len(got) != 1 || !strings.Contains(got[0], "(((chan) & 0xf) << 4)") {
-		t.Errorf("body = %v", got)
+	tests := []struct {
+		src  string
+		want []string
+	}{
+		{"#define MUX(x) (((x) & 0xf) << 4)\nint v = MUX(chan);\n",
+			[]string{"int v = (((chan) & 0xf) << 4);"}},
+		{"#define S(x)   #x\nchar*s=S(a b);\nchar *t = S( c );\n",
+			[]string{`char*s="a b";`, `char *t = "c";`}},
+		{"#define P(a, b)  a ## b\nint x=P(c, d);\nint y = P(, e)+P(f, );\n",
+			[]string{"int x=cd;", "int y = e+f;"}},
+		{"#define F(a, b)  a b\nint z=F(, w);\nint u = F( , v );\n",
+			[]string{"int z=w;", "int u = v;"}},
+		{"#define E(a)\t\ta\nint q=E(r)+E();\n",
+			[]string{"int q=r+;"}},
+	}
+	for _, tt := range tests {
+		res := run(t, map[string]string{"main.c": tt.src}, Options{})
+		if got := body(res); !reflect.DeepEqual(got, tt.want) {
+			t.Errorf("%q: body = %q, want %q", tt.src, got, tt.want)
+		}
 	}
 }
 

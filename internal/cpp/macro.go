@@ -12,7 +12,10 @@ type Macro struct {
 	FuncLike bool
 	Params   []string
 	Variadic bool
-	Body     []Token
+	// Body may alias immutable cached line tokens (parseDefine keeps the
+	// directive's tokens), so nothing writes to it: substitute copies body
+	// tokens into a fresh replacement.
+	Body []Token
 }
 
 // paramIndex returns the parameter index of name, the variadic slot for
@@ -393,10 +396,10 @@ func parseDefine(ts []Token) (*Macro, error) {
 	bodyStart:
 		rest = rest[i:]
 	}
-	m.Body = make([]Token, len(rest))
-	copy(m.Body, rest)
-	if len(m.Body) > 0 {
-		m.Body[0].WS = false
-	}
+	// The body keeps the directive's own tokens, cached line tokens
+	// included (see Macro). Its first token's WS is never read: substitute
+	// and pasteChain give the first output token the invocation's leading
+	// whitespace.
+	m.Body = rest
 	return m, nil
 }

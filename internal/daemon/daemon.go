@@ -32,9 +32,9 @@
 // per-commit cost is proportional to the diff.
 //
 // Reports served on the happy path are byte-identical to `jmake -commit
-// <id> -json` over the same workspace flags: both paths call
-// jmake.CheckCommitWith with the same deterministic virtual-clock model,
-// and the caches only change compute, never verdicts.
+// <id> -json` over the same workspace flags: both paths run the jmake
+// facade's one commit check with the same deterministic virtual-clock
+// model, and the caches only change compute, never verdicts.
 package daemon
 
 import (
@@ -209,7 +209,7 @@ func New(cfg Config) (*Server, error) {
 	// report is the invariant the panic tripwire re-verifies before the
 	// warm session is trusted again.
 	s.canaryID = built.WindowIDs[len(built.WindowIDs)-1]
-	canary, err := s.checkOne(context.Background(), s.canaryID, cliopts.Check{})
+	canary, _, err := s.checkOne(context.Background(), s.canaryID, cliopts.Check{})
 	if err != nil {
 		return nil, fmt.Errorf("daemon: canary check: %w", err)
 	}
@@ -246,23 +246,11 @@ func marshalReport(r *jmake.Report) []byte {
 }
 
 // checkOne runs one commit check against the warm session, honoring ctx
-// at the checker's stage boundaries.
-func (s *Server) checkOne(ctx context.Context, id string, chk cliopts.Check) (*jmake.Report, error) {
-	opts := chk.Options()
-	if opts.Interrupt == nil {
-		opts.Interrupt = func() bool { return ctx.Err() != nil }
-	}
-	s.mu.RLock()
-	session := s.session
-	s.mu.RUnlock()
-	return jmake.CheckCommitWith(session, s.built.Hist.Repo, id, opts)
-}
-
-// checkOneTraced is checkOne with span recording: the service path always
-// traces, so every flight record carries the span tree and /tracez can
-// answer for any recent request. Tracing never changes report bytes
-// (PR 5's invariant, re-proven by the daemon byte-identity tests).
-func (s *Server) checkOneTraced(ctx context.Context, id string, chk cliopts.Check) (*jmake.Report, *jmake.TraceSpan, error) {
+// at the checker's stage boundaries. It always records the span tree, so
+// every flight record carries one and /tracez can answer for any recent
+// request; the canary and the tripwire ignore it. Tracing never changes
+// report bytes, which the daemon byte-identity tests re-prove.
+func (s *Server) checkOne(ctx context.Context, id string, chk cliopts.Check) (*jmake.Report, *jmake.TraceSpan, error) {
 	opts := chk.Options()
 	if opts.Interrupt == nil {
 		opts.Interrupt = func() bool { return ctx.Err() != nil }
@@ -794,7 +782,7 @@ type panicError struct{ cause string }
 
 func (e *panicError) Error() string { return "daemon: check panicked: " + e.cause }
 
-// guardedCheck is checkOneTraced wrapped in panic isolation: a panic is
+// guardedCheck is checkOne wrapped in panic isolation: a panic is
 // recovered, counted, and followed by the canary tripwire before the
 // warm session may serve again.
 func (s *Server) guardedCheck(ctx context.Context, req checkRequest) (report *jmake.Report, span *jmake.TraceSpan, err error) {
@@ -813,7 +801,7 @@ func (s *Server) guardedCheck(ctx context.Context, req checkRequest) (report *jm
 	if s.cfg.Debug && req.DebugPanic {
 		panic("debug_panic requested")
 	}
-	return s.checkOneTraced(ctx, req.Commit, req.Options)
+	return s.checkOne(ctx, req.Commit, req.Options)
 }
 
 // holdUntil sleeps for d or until ctx is done, in small slices so tests
@@ -839,7 +827,7 @@ func (s *Server) verifySession() {
 				ok = false
 			}
 		}()
-		report, err := s.checkOne(context.Background(), s.canaryID, cliopts.Check{})
+		report, _, err := s.checkOne(context.Background(), s.canaryID, cliopts.Check{})
 		if err != nil {
 			return false
 		}

@@ -147,18 +147,19 @@ func RunBenchmarks(p Params, cacheDir string) (*BenchReport, error) {
 			return BenchCacheResult{}, nil, err
 		}
 		pm := shell.Pipeline
-		rc := pm.ResultCache
-		return BenchCacheResult{
-			WallSeconds:             pm.WallSeconds,
-			TotalVirtualSeconds:     pm.Stages.TotalSeconds,
-			SavedVirtualSeconds:     rc.SavedVirtualSeconds,
-			EffectiveVirtualSeconds: pm.EffectiveSeconds(),
-			MakeIHits:               rc.MakeI.Hits,
-			MakeIMisses:             rc.MakeI.Misses,
-			MakeOHits:               rc.MakeO.Hits,
-			MakeOMisses:             rc.MakeO.Misses,
-			LoadedEntries:           rc.LoadedEntries,
-		}, &shell, nil
+		res := BenchCacheResult{
+			WallSeconds:             pm.Runtime.WallSeconds,
+			TotalVirtualSeconds:     pm.VirtualSeconds.TotalSeconds,
+			EffectiveVirtualSeconds: pm.VirtualSeconds.TotalSeconds,
+		}
+		if rc := pm.Runtime.ResultCache; rc != nil {
+			res.SavedVirtualSeconds = rc.SavedVirtualSecs
+			res.EffectiveVirtualSeconds = rc.EffectiveSecs
+			res.MakeIHits, res.MakeIMisses = rc.MakeI.Hits, rc.MakeI.Misses
+			res.MakeOHits, res.MakeOMisses = rc.MakeO.Hits, rc.MakeO.Misses
+			res.LoadedEntries = rc.LoadedEntries
+		}
+		return res, &shell, nil
 	}
 	if rep.Cold, _, err = cachePass(false); err != nil {
 		return nil, fmt.Errorf("eval: bench cold pass: %w", err)
@@ -200,8 +201,8 @@ func sweep(run *Run, ids []string, workers []int) ([]BenchWorkerResult, error) {
 		}
 		out = append(out, BenchWorkerResult{
 			Workers:       w,
-			WallSeconds:   shell.Pipeline.WallSeconds,
-			PatchesPerSec: shell.Pipeline.PatchesPerSec,
+			WallSeconds:   shell.Pipeline.Runtime.WallSeconds,
+			PatchesPerSec: shell.Pipeline.Runtime.PatchesPerSec,
 			Checked:       shell.Pipeline.Checked,
 		})
 	}
@@ -224,9 +225,9 @@ func benchSpans(run *Run) []BenchSpanStat {
 			virtual[s.Kind] += s.Dur()
 		})
 	}
-	saved := map[string]float64{
-		trace.KindMakeI: run.Pipeline.ResultCache.SavedMakeISeconds,
-		trace.KindMakeO: run.Pipeline.ResultCache.SavedMakeOSeconds,
+	saved := map[string]float64{}
+	if rc := run.Pipeline.Runtime.ResultCache; rc != nil {
+		saved[trace.KindMakeI], saved[trace.KindMakeO] = rc.SavedMakeISecs, rc.SavedMakeOSecs
 	}
 	var out []BenchSpanStat
 	for _, kind := range []string{

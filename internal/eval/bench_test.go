@@ -32,7 +32,7 @@ func BenchmarkStaticPruning(b *testing.B) {
 			name = "pruned"
 		}
 		b.Run(name, func(b *testing.B) {
-			var last PipelineMetrics
+			var last JSONPipeline
 			for i := 0; i < b.N; i++ {
 				shell := *run
 				shell.Params.Checker.StaticPresence = pruned
@@ -41,8 +41,8 @@ func BenchmarkStaticPruning(b *testing.B) {
 				}
 				last = shell.Pipeline
 			}
-			b.ReportMetric(last.Stages.TotalSeconds, "virtual_sec")
-			b.ReportMetric(float64(last.StaticSkippedMakeI+last.StaticSkippedMakeO), "skipped")
+			b.ReportMetric(last.VirtualSeconds.TotalSeconds, "virtual_sec")
+			b.ReportMetric(float64(last.StaticSkippedI+last.StaticSkippedO), "skipped")
 			b.ReportMetric(float64(last.Checked), "checked")
 		})
 	}
@@ -58,7 +58,7 @@ func BenchmarkCheckWindow(b *testing.B) {
 	}
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			var last PipelineMetrics
+			var last JSONPipeline
 			for i := 0; i < b.N; i++ {
 				shell := *run
 				shell.Params.Workers = w
@@ -67,7 +67,7 @@ func BenchmarkCheckWindow(b *testing.B) {
 				}
 				last = shell.Pipeline
 			}
-			b.ReportMetric(last.PatchesPerSec, "patches/sec")
+			b.ReportMetric(last.Runtime.PatchesPerSec, "patches/sec")
 			b.ReportMetric(float64(last.Checked), "checked")
 		})
 	}

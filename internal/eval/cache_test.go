@@ -55,10 +55,10 @@ func TestJSONCacheStateInvariant(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "jmake-ccache.json")); err != nil {
 		t.Fatalf("persistent tier not written: %v", err)
 	}
-	if coldRun.Pipeline.ResultCache.LoadedEntries != 0 {
-		t.Errorf("cold run loaded %d entries", coldRun.Pipeline.ResultCache.LoadedEntries)
+	if coldRun.Pipeline.Runtime.ResultCache.LoadedEntries != 0 {
+		t.Errorf("cold run loaded %d entries", coldRun.Pipeline.Runtime.ResultCache.LoadedEntries)
 	}
-	wrc := warmRun.Pipeline.ResultCache
+	wrc := warmRun.Pipeline.Runtime.ResultCache
 	if wrc.LoadedEntries == 0 {
 		t.Fatal("warm run loaded nothing from the persistent tier")
 	}
@@ -67,8 +67,8 @@ func TestJSONCacheStateInvariant(t *testing.T) {
 	}
 	// The whole point: a warm start saves a large fraction of the
 	// effective virtual time (the acceptance bar is 30%).
-	coldEff := coldRun.Pipeline.EffectiveSeconds()
-	warmEff := warmRun.Pipeline.EffectiveSeconds()
+	coldEff := coldRun.Pipeline.Runtime.ResultCache.EffectiveSecs
+	warmEff := wrc.EffectiveSecs
 	if coldEff <= 0 || warmEff >= 0.7*coldEff {
 		t.Errorf("warm effective %.1fs vs cold %.1fs: want >=30%% savings", warmEff, coldEff)
 	}
@@ -143,15 +143,15 @@ func TestCorruptPersistentTierIsCold(t *testing.T) {
 	if !bytes.Equal(js1, js2) {
 		t.Error("corrupt cache changed the report")
 	}
-	if r2.Pipeline.ResultCache.LoadedEntries != 0 {
-		t.Errorf("corrupt cache loaded %d entries", r2.Pipeline.ResultCache.LoadedEntries)
+	if r2.Pipeline.Runtime.ResultCache.LoadedEntries != 0 {
+		t.Errorf("corrupt cache loaded %d entries", r2.Pipeline.Runtime.ResultCache.LoadedEntries)
 	}
 	// And the run rewrote a valid cache file behind itself.
 	r3, err := Execute(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r3.Pipeline.ResultCache.LoadedEntries == 0 {
+	if r3.Pipeline.Runtime.ResultCache.LoadedEntries == 0 {
 		t.Error("cache file not rewritten after corruption")
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"jmake/internal/kernelgen"
 	"jmake/internal/maintainers"
 	"jmake/internal/sched"
+	"jmake/internal/textdiff"
 	"jmake/internal/trace"
 	"jmake/internal/vclock"
 	"jmake/internal/vcs"
@@ -129,8 +130,12 @@ type Run struct {
 	JanitorEmails map[string]bool
 	// Results has one entry per window commit (12,946 at scale 1.0).
 	Results []PatchResult
-	// Pipeline describes the worker pool's execution of the window.
-	Pipeline PipelineMetrics
+	// Pipeline describes the worker pool's execution of the window, its
+	// volatile Runtime part included.
+	Pipeline JSONPipeline
+	// Canceled counts window commits never checked because Params.Ctx was
+	// done first (always 0 on a run-to-completion evaluation).
+	Canceled int
 	// Trace is the merged session trace (nil unless Params.Trace): one
 	// span tree per checked patch, in submission order, cache outcomes
 	// stamped.
@@ -221,7 +226,7 @@ func (r *Run) checkWindow(ids []string) error {
 	if r.Params.NoResultCache {
 		session.SetResultCache(nil)
 	} else if r.Params.CacheDir != "" {
-		rc := ccache.New()
+		rc := ccache.NewIn(session.Metrics())
 		rc.Load(r.Params.CacheDir) // best-effort warm start; corrupt = cold
 		session.SetResultCache(rc)
 	}
@@ -251,7 +256,8 @@ func (r *Run) checkWindow(ids []string) error {
 	for i := len(ids) - met.Canceled; i < len(ids); i++ {
 		r.Results[i] = PatchResult{Commit: ids[i], Err: ctx.Err()}
 	}
-	r.Pipeline = computePipelineMetrics(met, r.Results, session)
+	r.Pipeline = pipelineSection(met, r.Results, session)
+	r.Canceled = met.Canceled
 	if r.Params.Trace {
 		// r.Results is indexed by submission order, so the merged trace is
 		// identical at any worker count; Stamp then classifies cache
@@ -290,13 +296,7 @@ func processOne(repo *vcs.Repo, session *core.Session, model *vclock.Model, opts
 		res.Err = err
 		return res
 	}
-	kept := fds[:0:0]
-	for _, fd := range fds {
-		if !RelevantPath(fd.NewPath) {
-			continue
-		}
-		kept = append(kept, fd)
-	}
+	kept := RelevantDiffs(fds)
 	if len(kept) == 0 {
 		res.Skipped = true
 		return res
@@ -334,4 +334,16 @@ func RelevantPath(p string) bool {
 		return false
 	}
 	return strings.HasSuffix(p, ".c") || strings.HasSuffix(p, ".h")
+}
+
+// RelevantDiffs returns, in order, the file diffs whose new path passes
+// RelevantPath, in a new slice.
+func RelevantDiffs(fds []textdiff.FileDiff) []textdiff.FileDiff {
+	kept := fds[:0:0]
+	for _, fd := range fds {
+		if RelevantPath(fd.NewPath) {
+			kept = append(kept, fd)
+		}
+	}
+	return kept
 }

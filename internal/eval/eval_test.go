@@ -296,8 +296,8 @@ func TestWindowCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
-	if r.Pipeline.Canceled == 0 {
-		t.Fatal("cancellation mid-window left Pipeline.Canceled == 0")
+	if r.Canceled == 0 {
+		t.Fatal("cancellation mid-window left Canceled == 0")
 	}
 	for _, res := range r.Results {
 		if res.Err != nil && !errors.Is(res.Err, context.Canceled) {
@@ -313,7 +313,7 @@ func TestWindowCancellation(t *testing.T) {
 			}
 		}
 	}
-	for i := len(r.Results) - r.Pipeline.Canceled; i < len(r.Results); i++ {
+	for i := len(r.Results) - r.Canceled; i < len(r.Results); i++ {
 		res := r.Results[i]
 		if res.Commit == "" || !errors.Is(res.Err, context.Canceled) {
 			t.Errorf("canceled tail entry %d not stamped: %+v", i, res)

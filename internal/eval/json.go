@@ -1,6 +1,10 @@
 package eval
 
-import "encoding/json"
+import (
+	"encoding/json"
+
+	"jmake/internal/ccache"
+)
 
 // JSONReport is the machine-readable form of a completed evaluation: every
 // table and figure in one marshalable structure, for downstream analysis
@@ -80,11 +84,12 @@ type JSONMix struct {
 	Total int `json:"total"`
 }
 
-// JSONPipeline is the machine-readable pipeline section. Only fields that
-// are invariant under the worker count AND the result-cache state appear
-// by default; Runtime carries the volatile figures (scheduling, plus the
-// token- and result-cache counters, which depend on cache warmth) and is
-// populated solely by JSONWithRuntime, keeping the default report
+// JSONPipeline is the pipeline section, built once per run (see
+// pipelineSection). Only fields that are invariant under the worker count
+// AND the result-cache state appear by default; Runtime carries the
+// volatile figures (scheduling, plus the token- and result-cache counters,
+// which depend on cache warmth). It is always filled in Run.Pipeline, but
+// only JSONWithRuntime prints it, keeping the default report
 // byte-identical at any -workers setting and any cache state.
 type JSONPipeline struct {
 	Patches        int                  `json:"patches"`
@@ -130,26 +135,21 @@ type JSONPipelineRuntime struct {
 }
 
 // JSONResultCache is the shared compile-result cache section, present in
-// runtime reports when the cache is enabled.
+// runtime reports when the cache is enabled. SavedVirtualSecs is the
+// effective virtual time the cache saved (full recompute price minus
+// charged probe costs; the per-stage figures sum to it). Reported
+// per-patch durations always use the full price; EffectiveSecs is the
+// run's honest cost with probes charged instead.
 type JSONResultCache struct {
-	MakeI            JSONResultCacheStage `json:"make_i"`
-	MakeO            JSONResultCacheStage `json:"make_o"`
-	Entries          int                  `json:"entries"`
-	Bytes            int64                `json:"bytes"`
-	LoadedEntries    int                  `json:"loaded_entries"`
-	SavedVirtualSecs float64              `json:"saved_virtual_seconds"`
-	SavedMakeISecs   float64              `json:"saved_make_i_seconds"`
-	SavedMakeOSecs   float64              `json:"saved_make_o_seconds"`
-	EffectiveSecs    float64              `json:"effective_seconds"`
-}
-
-// JSONResultCacheStage is one stage's result-cache counters.
-type JSONResultCacheStage struct {
-	Hits        uint64 `json:"hits"`
-	Misses      uint64 `json:"misses"`
-	Deduped     uint64 `json:"deduped"`
-	BytesServed uint64 `json:"bytes_served"`
-	BytesStored uint64 `json:"bytes_stored"`
+	MakeI            ccache.Stats `json:"make_i"`
+	MakeO            ccache.Stats `json:"make_o"`
+	Entries          int          `json:"entries"`
+	Bytes            int64        `json:"bytes"`
+	LoadedEntries    int          `json:"loaded_entries"`
+	SavedVirtualSecs float64      `json:"saved_virtual_seconds"`
+	SavedMakeISecs   float64      `json:"saved_make_i_seconds"`
+	SavedMakeOSecs   float64      `json:"saved_make_o_seconds"`
+	EffectiveSecs    float64      `json:"effective_seconds"`
 }
 
 // JSONCDF summarizes one figure's distribution in seconds.
@@ -216,14 +216,9 @@ func (r *Run) buildJSON(points, runtime bool) ([]byte, error) {
 	out.CStats = r.ComputeCStats(false)
 	out.HStats = r.ComputeHStats(false)
 
-	pm := r.Pipeline
-	out.Pipeline = JSONPipeline{
-		Patches:        pm.Patches,
-		Checked:        pm.Checked,
-		ConfigCache:    JSONCacheStats{pm.ConfigCache.Hits, pm.ConfigCache.Misses, pm.ConfigCache.HitRate()},
-		VirtualSeconds: pm.Stages,
-		StaticSkippedI: pm.StaticSkippedMakeI,
-		StaticSkippedO: pm.StaticSkippedMakeO,
+	out.Pipeline = r.Pipeline
+	if !runtime {
+		out.Pipeline.Runtime = nil
 	}
 	if r.Params.Checker.StaticPresence {
 		ps := r.ComputePresenceStats()
@@ -235,31 +230,6 @@ func (r *Run) buildJSON(points, runtime bool) ([]byte, error) {
 			Disagreements:   ps.Disagreements,
 		}
 	}
-	if runtime {
-		rt := &JSONPipelineRuntime{
-			Workers:       pm.Workers,
-			InFlight:      pm.InFlight,
-			MaxBuffered:   pm.MaxBuffered,
-			WallSeconds:   pm.WallSeconds,
-			PatchesPerSec: pm.PatchesPerSec,
-			TokenCache:    JSONCacheStats{pm.TokenCache.Hits, pm.TokenCache.Misses, pm.TokenCache.HitRate()},
-		}
-		if rc := pm.ResultCache; rc.Enabled {
-			rt.ResultCache = &JSONResultCache{
-				MakeI:            JSONResultCacheStage(rc.MakeI),
-				MakeO:            JSONResultCacheStage(rc.MakeO),
-				Entries:          rc.Entries,
-				Bytes:            rc.Bytes,
-				LoadedEntries:    rc.LoadedEntries,
-				SavedVirtualSecs: rc.SavedVirtualSeconds,
-				SavedMakeISecs:   rc.SavedMakeISeconds,
-				SavedMakeOSecs:   rc.SavedMakeOSeconds,
-				EffectiveSecs:    pm.EffectiveSeconds(),
-			}
-		}
-		out.Pipeline.Runtime = rt
-	}
-
 	fs := r.ComputeFaultStats()
 	out.Faults.Retries = fs.Retries
 	out.Faults.InjectedFaults = fs.InjectedFaults

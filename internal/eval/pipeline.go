@@ -19,108 +19,24 @@ type StageVirtual struct {
 	TotalSeconds   float64 `json:"total_seconds"`
 }
 
-// PipelineMetrics describes the worker pool's execution of one window.
-//
-// The deterministic fields (patch counts, the config-cache counters,
-// virtual stage times) are invariant under the worker count AND the
-// result-cache state: caches compute every key exactly once and virtual
-// durations are priced by seeded keys, not by scheduling. They belong in
-// reproducible reports. The volatile fields (wall clock, throughput,
-// reorder high-water mark, the worker/in-flight configuration, and the
-// token/result cache counters — which depend on how warm the result
-// cache is, since served verdicts skip lexing entirely) describe one
-// machine's run of one configuration and are kept out of the default
-// JSON report so same-seed runs stay byte-identical at any -workers
-// setting and any cache state.
-type PipelineMetrics struct {
-	// Deterministic.
-	Patches     int             // window commits fanned out
-	Checked     int             // commits that produced a patch report
-	ConfigCache core.CacheStats // shared Kconfig-valuation cache
-	Stages      StageVirtual    // virtual seconds per stage
-	// StaticSkippedMakeI / StaticSkippedMakeO count compiler invocations
-	// the static presence pre-pass pruned (zero unless StaticPresence).
-	StaticSkippedMakeI int
-	StaticSkippedMakeO int
-
-	// Volatile (scheduling-, machine- and cache-warmth-dependent).
-	TokenCache    core.CacheStats // shared lexing cache
-	ResultCache   ResultCacheMetrics
-	Workers       int
-	InFlight      int
-	WallSeconds   float64
-	PatchesPerSec float64
-	MaxBuffered   int
-	// Canceled counts window commits never checked because Params.Ctx was
-	// done first (always 0 on a run-to-completion evaluation).
-	Canceled int
-}
-
-// ResultCacheMetrics aggregates the shared compile-result cache
-// (internal/ccache). Counters are worker-count-invariant but warmth-
-// dependent — a -cache-dir warm start converts misses to hits — so they
-// ride with the volatile runtime section in JSON.
-type ResultCacheMetrics struct {
-	Enabled      bool
-	MakeI, MakeO ResultCacheStage
-	Entries      int
-	Bytes        int64
-	// LoadedEntries counts entries warm-started from the persistent tier.
-	LoadedEntries int
-	// SavedVirtualSeconds is the effective virtual time the cache saved
-	// (full recompute price minus charged probe costs). Reported per-patch
-	// durations always use the full price; EffectiveSeconds() is the
-	// honest cost of the run with probes charged instead.
-	SavedVirtualSeconds float64
-	// The same ledger attributed per stage (their sum is
-	// SavedVirtualSeconds), for span-level savings attribution.
-	SavedMakeISeconds float64
-	SavedMakeOSeconds float64
-}
-
-// ResultCacheStage is one stage's counters.
-type ResultCacheStage struct {
-	Hits        uint64
-	Misses      uint64
-	Deduped     uint64
-	BytesServed uint64
-	BytesStored uint64
-}
-
-// EffectiveSeconds is the window's virtual build time with cache probes
-// charged in place of the compiles they replaced.
-func (pm PipelineMetrics) EffectiveSeconds() float64 {
-	return pm.Stages.TotalSeconds - pm.ResultCache.SavedVirtualSeconds
-}
-
-// computePipelineMetrics folds the scheduler's counters and the merged
-// results into the run's pipeline section. The per-stage sums iterate
+// pipelineSection builds the run's pipeline section once, from the
+// scheduler's counters, the session's cache counters (views over its
+// metrics registry) and the merged reports. Runtime is always filled; the
+// JSON encoders decide whether to print it. The per-stage sums iterate
 // results in submission order, so even the floating-point accumulation is
 // reproducible.
-func computePipelineMetrics(met sched.Metrics, results []PatchResult, session *core.Session) PipelineMetrics {
-	pm := PipelineMetrics{
-		Patches:       met.Items,
-		ConfigCache:   session.ConfigCacheStats(),
-		TokenCache:    session.TokenCacheStats(),
-		Workers:       met.Workers,
-		InFlight:      met.InFlight,
-		WallSeconds:   met.Wall.Seconds(),
-		PatchesPerSec: met.ItemsPerSec,
-		MaxBuffered:   met.MaxBuffered,
-		Canceled:      met.Canceled,
-	}
-	if rc, ok := session.ResultCacheStats(); ok {
-		pm.ResultCache = ResultCacheMetrics{
-			Enabled:             true,
-			MakeI:               ResultCacheStage(rc.MakeI),
-			MakeO:               ResultCacheStage(rc.MakeO),
-			Entries:             rc.Entries,
-			Bytes:               rc.Bytes,
-			LoadedEntries:       rc.LoadedEntries,
-			SavedVirtualSeconds: rc.SavedVirtual.Seconds(),
-			SavedMakeISeconds:   rc.SavedMakeI.Seconds(),
-			SavedMakeOSeconds:   rc.SavedMakeO.Seconds(),
-		}
+func pipelineSection(met sched.Metrics, results []PatchResult, session *core.Session) JSONPipeline {
+	pm := JSONPipeline{
+		Patches:     met.Items,
+		ConfigCache: cacheJSON(session.ConfigCacheStats()),
+		Runtime: &JSONPipelineRuntime{
+			Workers:       met.Workers,
+			InFlight:      met.InFlight,
+			MaxBuffered:   met.MaxBuffered,
+			WallSeconds:   met.Wall.Seconds(),
+			PatchesPerSec: met.ItemsPerSec,
+			TokenCache:    cacheJSON(session.TokenCacheStats()),
+		},
 	}
 	for _, res := range results {
 		if res.Report == nil {
@@ -128,43 +44,61 @@ func computePipelineMetrics(met sched.Metrics, results []PatchResult, session *c
 		}
 		pm.Checked++
 		for _, d := range res.Report.ConfigDurations {
-			pm.Stages.ConfigSeconds += d.Seconds()
+			pm.VirtualSeconds.ConfigSeconds += d.Seconds()
 		}
 		for _, d := range res.Report.MakeIDurations {
-			pm.Stages.MakeISeconds += d.Seconds()
+			pm.VirtualSeconds.MakeISeconds += d.Seconds()
 		}
 		for _, d := range res.Report.MakeODurations {
-			pm.Stages.MakeOSeconds += d.Seconds()
+			pm.VirtualSeconds.MakeOSeconds += d.Seconds()
 		}
 		for _, d := range res.Report.BackoffDurations {
-			pm.Stages.BackoffSeconds += d.Seconds()
+			pm.VirtualSeconds.BackoffSeconds += d.Seconds()
 		}
-		pm.Stages.TotalSeconds += res.Report.Total.Seconds()
-		pm.StaticSkippedMakeI += res.Report.StaticSkippedMakeI
-		pm.StaticSkippedMakeO += res.Report.StaticSkippedMakeO
+		pm.VirtualSeconds.TotalSeconds += res.Report.Total.Seconds()
+		pm.StaticSkippedI += res.Report.StaticSkippedMakeI
+		pm.StaticSkippedO += res.Report.StaticSkippedMakeO
+	}
+	if rc, ok := session.ResultCacheStats(); ok {
+		saved := rc.SavedVirtual.Seconds()
+		pm.Runtime.ResultCache = &JSONResultCache{
+			MakeI:            rc.MakeI,
+			MakeO:            rc.MakeO,
+			Entries:          rc.Entries,
+			Bytes:            rc.Bytes,
+			LoadedEntries:    rc.LoadedEntries,
+			SavedVirtualSecs: saved,
+			SavedMakeISecs:   rc.SavedMakeI.Seconds(),
+			SavedMakeOSecs:   rc.SavedMakeO.Seconds(),
+			EffectiveSecs:    pm.VirtualSeconds.TotalSeconds - saved,
+		}
 	}
 	return pm
+}
+
+func cacheJSON(s core.CacheStats) JSONCacheStats {
+	return JSONCacheStats{Hits: s.Hits, Misses: s.Misses, HitRate: s.HitRate()}
 }
 
 // RenderPipeline formats the pipeline section for the text report.
 // runtime additionally prints the volatile scheduling figures.
 func (r *Run) RenderPipeline(runtime bool) string {
-	pm := r.Pipeline
+	pm, rt := r.Pipeline, r.Pipeline.Runtime
 	var b strings.Builder
 	fmt.Fprintf(&b, "Pipeline\n")
 	fmt.Fprintf(&b, "  patches fanned out:   %d (%d checked)\n", pm.Patches, pm.Checked)
 	fmt.Fprintf(&b, "  config cache:         %d hits / %d misses (%.1f%% hit rate)\n",
-		pm.ConfigCache.Hits, pm.ConfigCache.Misses, 100*pm.ConfigCache.HitRate())
+		pm.ConfigCache.Hits, pm.ConfigCache.Misses, 100*pm.ConfigCache.HitRate)
 	fmt.Fprintf(&b, "  token cache:          %d hits / %d misses (%.1f%% hit rate)\n",
-		pm.TokenCache.Hits, pm.TokenCache.Misses, 100*pm.TokenCache.HitRate())
+		rt.TokenCache.Hits, rt.TokenCache.Misses, 100*rt.TokenCache.HitRate)
 	fmt.Fprintf(&b, "  virtual stage time:   config %.1fs, make.i %.1fs, make.o %.1fs, backoff %.1fs (total %.1fs)\n",
-		pm.Stages.ConfigSeconds, pm.Stages.MakeISeconds, pm.Stages.MakeOSeconds,
-		pm.Stages.BackoffSeconds, pm.Stages.TotalSeconds)
-	if pm.StaticSkippedMakeI > 0 || pm.StaticSkippedMakeO > 0 {
+		pm.VirtualSeconds.ConfigSeconds, pm.VirtualSeconds.MakeISeconds, pm.VirtualSeconds.MakeOSeconds,
+		pm.VirtualSeconds.BackoffSeconds, pm.VirtualSeconds.TotalSeconds)
+	if pm.StaticSkippedI > 0 || pm.StaticSkippedO > 0 {
 		fmt.Fprintf(&b, "  static pruning:       skipped %d make.i, %d make.o invocations\n",
-			pm.StaticSkippedMakeI, pm.StaticSkippedMakeO)
+			pm.StaticSkippedI, pm.StaticSkippedO)
 	}
-	if rc := pm.ResultCache; rc.Enabled {
+	if rc := rt.ResultCache; rc != nil {
 		fmt.Fprintf(&b, "  result cache:         make.i %d/%d hits (%d deduped), make.o %d/%d hits, %d entries (%.1f MB)\n",
 			rc.MakeI.Hits, rc.MakeI.Hits+rc.MakeI.Misses, rc.MakeI.Deduped,
 			rc.MakeO.Hits, rc.MakeO.Hits+rc.MakeO.Misses,
@@ -173,13 +107,13 @@ func (r *Run) RenderPipeline(runtime bool) string {
 			fmt.Fprintf(&b, "  result cache warmth:  %d entries loaded from -cache-dir\n", rc.LoadedEntries)
 		}
 		fmt.Fprintf(&b, "  result cache effect:  saved %.1f virtual s (effective %.1fs of %.1fs)\n",
-			rc.SavedVirtualSeconds, pm.EffectiveSeconds(), pm.Stages.TotalSeconds)
+			rc.SavedVirtualSecs, rc.EffectiveSecs, pm.VirtualSeconds.TotalSeconds)
 	}
 	if runtime {
 		fmt.Fprintf(&b, "  workers:              %d (in-flight bound %d, max buffered %d)\n",
-			pm.Workers, pm.InFlight, pm.MaxBuffered)
+			rt.Workers, rt.InFlight, rt.MaxBuffered)
 		fmt.Fprintf(&b, "  wall clock:           %.2fs (%.1f patches/sec)\n",
-			pm.WallSeconds, pm.PatchesPerSec)
+			rt.WallSeconds, rt.PatchesPerSec)
 	}
 	return b.String()
 }

@@ -27,7 +27,7 @@ func TestJSONWorkerCountInvariant(t *testing.T) {
 		if r.Pipeline.Checked == 0 {
 			t.Fatalf("workers=%d checked no patches", workers)
 		}
-		if r.Pipeline.ConfigCache.Misses == 0 || r.Pipeline.TokenCache.Misses == 0 {
+		if r.Pipeline.ConfigCache.Misses == 0 || r.Pipeline.Runtime.TokenCache.Misses == 0 {
 			t.Fatalf("workers=%d: caches unused: %+v", workers, r.Pipeline)
 		}
 		js, err := r.JSON(true)

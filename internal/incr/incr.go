@@ -113,12 +113,7 @@ func (f *Follower) savedSeconds() float64 {
 	if f.sess == nil {
 		return 0
 	}
-	wl := f.sess.WarmSaved()
-	saved := wl.ConfigSaved + wl.SetupSaved
-	if st, ok := f.sess.ResultCacheStats(); ok {
-		saved += st.SavedVirtual
-	}
-	return saved.Seconds()
+	return f.sess.SavedEffective().Seconds()
 }
 
 // advanceOne applies commit c to the working tree and returns its changed
@@ -228,12 +223,7 @@ func (f *Follower) check(res *StepResult, snapshot *fstree.Tree, measured bool) 
 		res.Err = err
 		return
 	}
-	kept := fds[:0:0]
-	for _, fd := range fds {
-		if eval.RelevantPath(fd.NewPath) {
-			kept = append(kept, fd)
-		}
-	}
+	kept := eval.RelevantDiffs(fds)
 	res.Files = len(kept)
 
 	sess := f.sess

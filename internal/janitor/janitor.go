@@ -89,14 +89,10 @@ type commitTally struct {
 	err         error
 }
 
-// Identify runs the study over fromTag..toTag with the window starting at
-// midTag, and returns the ranked janitors.
-func Identify(repo *vcs.Repo, ix *maintainers.Index, fromTag, midTag, toTag string, th Thresholds) ([]AuthorStats, error) {
-	return IdentifyWorkers(repo, ix, fromTag, midTag, toTag, th, 1)
-}
-
-// IdentifyWorkers is Identify with the per-commit tallying fanned over
-// workers. The result is identical at any worker count.
+// IdentifyWorkers runs the study over fromTag..toTag with the window
+// starting at midTag, and returns the ranked janitors. The per-commit
+// tallying fans over workers; the result is identical at any worker
+// count.
 func IdentifyWorkers(repo *vcs.Repo, ix *maintainers.Index, fromTag, midTag, toTag string, th Thresholds, workers int) ([]AuthorStats, error) {
 	history, err := repo.Between(fromTag, midTag, vcs.LogOptions{NoMerges: true, OnlyModify: true})
 	if err != nil {

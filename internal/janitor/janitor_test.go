@@ -34,9 +34,9 @@ func buildStudy(t *testing.T) ([]AuthorStats, []commitgen.JanitorSpec) {
 	th.MinSubsystems = 4
 	th.MinLists = 2
 	th.MinWindowPatches = 2
-	got, err := Identify(res.Repo, maintainers.NewIndex(entries), "v3.0", "v4.3", "v4.4", th)
+	got, err := IdentifyWorkers(res.Repo, maintainers.NewIndex(entries), "v3.0", "v4.3", "v4.4", th, 1)
 	if err != nil {
-		t.Fatalf("Identify: %v", err)
+		t.Fatalf("IdentifyWorkers: %v", err)
 	}
 	return got, res.Janitors
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sync/atomic"
 	"time"
 
 	"jmake/internal/cc"
@@ -14,6 +13,7 @@ import (
 	"jmake/internal/faultinject"
 	"jmake/internal/fstree"
 	"jmake/internal/kconfig"
+	"jmake/internal/metrics"
 	"jmake/internal/trace"
 	"jmake/internal/vclock"
 )
@@ -81,8 +81,8 @@ type Builder struct {
 	// session's — but SetupSaved is credited with the avoided delta.
 	WarmSetup bool
 	// SetupSaved, when non-nil with WarmSetup, accumulates the avoided
-	// set-up nanoseconds (atomic adds; shared across builders).
-	SetupSaved *int64
+	// set-up nanoseconds (a registry series shared across builders).
+	SetupSaved *metrics.Counter
 
 	invoked bool
 	// invokeSeq distinguishes jitter keys between invocations.
@@ -567,13 +567,7 @@ func (b *Builder) SetSetupDone() { b.invoked = true }
 // between first-invocation set-up and the incremental re-check the
 // invocation would really have performed against a warm build directory.
 func (b *Builder) creditWarmSetup(first bool, delta time.Duration) {
-	if first && b.WarmSetup && b.SetupSaved != nil && delta > 0 {
-		atomic.AddInt64(b.SetupSaved, int64(delta))
+	if first && b.WarmSetup && b.SetupSaved != nil {
+		b.SetupSaved.AddDuration(delta)
 	}
-}
-
-// IsSetupFile reports whether JMake must refuse to mutate this file because
-// the kernel Makefile compiles it during build set-up (paper §V-D).
-func (b *Builder) IsSetupFile(file string) bool {
-	return b.Meta.SetupFiles[fstree.Clean(file)]
 }

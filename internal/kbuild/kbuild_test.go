@@ -405,10 +405,10 @@ func TestWholeBuildFileCost(t *testing.T) {
 func TestIsSetupFile(t *testing.T) {
 	tr := testTree(t)
 	b := newTestBuilder(t, tr, "x86_64", cfgWith())
-	if !b.IsSetupFile("include/linux/compiler_setup.h") {
+	if !b.Meta.SetupFiles["include/linux/compiler_setup.h"] {
 		t.Error("setup file not flagged")
 	}
-	if b.IsSetupFile("net/core.c") {
+	if b.Meta.SetupFiles["net/core.c"] {
 		t.Error("normal file flagged as setup")
 	}
 }

@@ -259,13 +259,6 @@ func (t *Tree) parseFile(src Source, path string, cond Expr, depth int) error {
 	return nil
 }
 
-// Choices returns the parsed choice groups.
-func (t *Tree) Choices() []*ChoiceGroup {
-	out := make([]*ChoiceGroup, len(t.choices))
-	copy(out, t.choices)
-	return out
-}
-
 func (t *Tree) declare(name, file string) *Symbol {
 	if s, ok := t.symbols[name]; ok {
 		return s
@@ -422,17 +415,6 @@ func (c *Config) computeFingerprint() uint64 {
 		_, _ = h.Write([]byte{'=', byte(c.values[name]), 0})
 	}
 	return h.Sum64()
-}
-
-// EnabledCount returns how many symbols are y or m (used in reports).
-func (c *Config) EnabledCount() int {
-	n := 0
-	for _, v := range c.values {
-		if v != No {
-			n++
-		}
-	}
-	return n
 }
 
 // fixpoint computes a stable valuation where each symbol takes
@@ -628,19 +610,6 @@ func (t *Tree) ApplyDefconfig(text string) (*Config, error) {
 		return No
 	}
 	return t.fixpoint(want), nil
-}
-
-// MentionedIn reports which declared symbols appear (as CONFIG_ references)
-// in the given text. Used by JMake's arch heuristics over Makefiles.
-func (t *Tree) MentionedIn(text string) []string {
-	var out []string
-	for _, name := range t.order {
-		if strings.Contains(text, "CONFIG_"+name) {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 func notSetName(line string) (string, bool) {

@@ -337,21 +337,9 @@ config OFF
 	}
 }
 
-func TestMentionedIn(t *testing.T) {
-	tree := parseOne(t, "config FOO\n\tbool \"f\"\nconfig BAR\n\tbool \"b\"\n")
-	makefile := "obj-$(CONFIG_FOO) += foo.o\nobj-y += core.o\n"
-	got := tree.MentionedIn(makefile)
-	if !reflect.DeepEqual(got, []string{"FOO"}) {
-		t.Errorf("MentionedIn = %v", got)
-	}
-}
-
 func TestEnabledCountAndClone(t *testing.T) {
 	tree := parseOne(t, "config A\n\tbool \"a\"\nconfig B\n\tbool \"b\"\n\tdepends on NEVER\n")
 	cfg := tree.AllYesConfig()
-	if cfg.EnabledCount() != 1 {
-		t.Errorf("EnabledCount = %d, want 1", cfg.EnabledCount())
-	}
 	cl := cfg.Clone()
 	cl.Set("B", Yes)
 	if cfg.Value("B") != No {
@@ -462,10 +450,10 @@ endchoice
 config OTHER
 	bool "other"
 `)
-	if len(tree.Choices()) != 1 {
-		t.Fatalf("choices = %d", len(tree.Choices()))
+	if len(tree.choices) != 1 {
+		t.Fatalf("choices = %d", len(tree.choices))
 	}
-	ch := tree.Choices()[0]
+	ch := tree.choices[0]
 	if len(ch.Members) != 3 || ch.Default != "GOV_ONDEMAND" {
 		t.Fatalf("choice = %+v", ch)
 	}

@@ -1,8 +1,9 @@
 // Package metrics is the pipeline's single home for counters, gauges and
-// histograms. PR 2-4 each grew a private counter pile (PipelineMetrics,
-// ccache hit/miss ledgers, token-cache counters, fault tallies); those are
-// now *views* over one Registry, so a number can never drift between the
-// place it is incremented and the place it is reported.
+// histograms. The cache hit/miss counters, the token-cache counters, the
+// effective-time ledgers and the fault tallies are series in one
+// Registry, and reports read views over it (eval builds its pipeline
+// section once, in its JSON shape), so a number can never drift between
+// the place it is incremented and the place it is reported.
 //
 // Determinism discipline: counters and gauges are integers updated with
 // atomic adds, which commute — their final values are invariant under any
@@ -10,6 +11,12 @@
 // (the compute-exactly-once caches guarantee that for cache counters).
 // Durations are stored as integer nanoseconds for the same reason; float
 // accumulation is left to readers, who see only the final sums.
+//
+// Some series are volatile by nature and stay out of reproducible
+// reports: result_cache_saved_ns{stage}, warm_saved_ns{ledger=config|setup}
+// and result_cache_loaded_entries measure what cache warmth saved, so
+// they depend on warmth, and the saved-time ledgers also on which check
+// of an interleaving pays a computation first.
 package metrics
 
 import (

@@ -81,13 +81,12 @@ func F(key string, value any) Field { return Field{Key: key, Value: value} }
 // guard. Writes under a mutex so concurrent request goroutines never
 // interleave bytes within a line.
 type Logger struct {
-	mu      sync.Mutex
-	w       io.Writer
-	level   Level
-	sample  atomic.Int64 // keep 1 of every N debug events; <=1 keeps all
-	debugN  atomic.Uint64
-	now     func() time.Time // test hook
-	dropped atomic.Uint64    // sampled-away debug events
+	mu     sync.Mutex
+	w      io.Writer
+	level  Level
+	sample atomic.Int64 // keep 1 of every N debug events; <=1 keeps all
+	debugN atomic.Uint64
+	now    func() time.Time // test hook
 }
 
 // New returns a logger writing NDJSON events at or above level to w.
@@ -110,14 +109,6 @@ func (l *Logger) Enabled(lv Level) bool {
 	return l != nil && lv >= l.level
 }
 
-// Dropped returns how many debug events sampling has discarded.
-func (l *Logger) Dropped() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.dropped.Load()
-}
-
 // Debugf-style sugar is deliberately absent: events are (msg, fields),
 // not format strings, so downstream tooling can filter on keys.
 
@@ -128,7 +119,6 @@ func (l *Logger) Debug(msg string, fields ...Field) {
 	}
 	if n := l.sample.Load(); n > 1 {
 		if l.debugN.Add(1)%uint64(n) != 1 {
-			l.dropped.Add(1)
 			return
 		}
 	}

@@ -250,10 +250,10 @@ func firstIdent(arg string) string {
 	return arg
 }
 
-// Dump renders the analysis for golden-file comparison and jmake-lint: one
-// line per source line that sits under a non-trivial condition, plus a
-// trailing "dead:" line listing lines whose stack condition alone is
-// unsatisfiable. The output is deterministic.
+// Dump renders the analysis in the form the presence golden test compares
+// against its golden files: one line per source line that sits under a
+// non-trivial condition, plus a trailing "dead:" line listing lines whose
+// stack condition alone is unsatisfiable. The output is deterministic.
 func (f *File) Dump() string {
 	var b strings.Builder
 	var dead []int

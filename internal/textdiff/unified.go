@@ -188,7 +188,8 @@ func FormatPatch(fds []FileDiff) string {
 var ErrBadPatch = errors.New("textdiff: malformed patch")
 
 // ParsePatch parses a (possibly multi-file) unified diff as produced by
-// Format or git show.
+// Format or git show. A file diff with hunks must name both paths (its
+// ---/+++ pair); one that does not is ErrBadPatch.
 func ParsePatch(text string) ([]FileDiff, error) {
 	var out []FileDiff
 	var cur *FileDiff
@@ -247,6 +248,11 @@ func ParsePatch(text string) ([]FileDiff, error) {
 				h.Lines = append(h.Lines, Line{op, txt})
 			}
 			cur.Hunks = append(cur.Hunks, h)
+		}
+	}
+	for _, fd := range out {
+		if len(fd.Hunks) > 0 && (fd.OldPath == "" || fd.NewPath == "") {
+			return nil, fmt.Errorf("%w: hunks without a ---/+++ path pair", ErrBadPatch)
 		}
 	}
 	return out, nil

@@ -1,6 +1,7 @@
 package textdiff
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -104,11 +105,13 @@ func TestParseErrors(t *testing.T) {
 		{"truncated hunk", "--- a/f\n+++ b/f\n@@ -1,2 +1,2 @@\n-a\n"},
 		{"bad hunk line", "--- a/f\n+++ b/f\n@@ -1,1 +1,1 @@\n*bogus\n"},
 		{"bad header numbers", "--- a/f\n+++ b/f\n@@ -x,1 +1,1 @@\n-a\n+b\n"},
+		{"hunk without +++", "--- a/drivers/net/x.c\n@@ -1,1 +1,1 @@\n-a\n+b\n"},
+		{"git header without ---/+++", "diff --git a/f b/f\n@@ -1,1 +1,1 @@\n-a\n+b\n"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ParsePatch(tt.text); err == nil {
-				t.Error("ParsePatch succeeded, want error")
+			if _, err := ParsePatch(tt.text); !errors.Is(err, ErrBadPatch) {
+				t.Errorf("ParsePatch error = %v, want ErrBadPatch", err)
 			}
 		})
 	}

@@ -26,8 +26,8 @@ import (
 )
 
 // Span kinds. The kind doubles as the stage name in summaries, so these
-// match the stage vocabulary used by PipelineMetrics ("config", "make.i",
-// "make.o", "backoff").
+// match the stage vocabulary of the evaluation's pipeline section
+// (eval.StageVirtual: "config", "make.i", "make.o", "backoff").
 const (
 	KindSession     = "session"
 	KindPatch       = "patch"

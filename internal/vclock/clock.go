@@ -33,6 +33,3 @@ func (c *Clock) Advance(d time.Duration) time.Duration {
 
 // Now returns the current virtual time since the clock was created.
 func (c *Clock) Now() time.Duration { return c.now }
-
-// Elapsed is an alias for Now: the virtual time elapsed since creation.
-func (c *Clock) Elapsed() time.Duration { return c.now }

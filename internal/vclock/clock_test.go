@@ -39,7 +39,4 @@ func TestClockMonotonic(t *testing.T) {
 	if c.Now() != sum {
 		t.Fatalf("clock accumulated %v, want sum of positive charges %v", c.Now(), sum)
 	}
-	if c.Elapsed() != c.Now() {
-		t.Fatalf("Elapsed() = %v, want Now() = %v", c.Elapsed(), c.Now())
-	}
 }

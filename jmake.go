@@ -232,14 +232,8 @@ func CheckPatchText(tree *Tree, patchText string, opts Options) (*Report, error)
 	if err != nil {
 		return nil, fmt.Errorf("jmake: %w", err)
 	}
-	kept := fds[:0:0]
-	for _, fd := range fds {
-		if eval.RelevantPath(fd.NewPath) {
-			kept = append(kept, fd)
-		}
-	}
 	checker := session.Checker(snapshot, vclock.DefaultModel(uint64(len(patchText))), opts)
-	return checker.CheckPatch("patch", kept)
+	return checker.CheckPatch("patch", eval.RelevantDiffs(fds))
 }
 
 // GenerateKernel builds the kernel-shaped source tree: 26 architectures,
@@ -282,7 +276,8 @@ func CheckCommit(repo *Repo, id string, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("jmake: %w", err)
 	}
-	return checkCommitWith(session, repo, tree, id, opts)
+	report, _, err := checkCommit(session, repo, tree, id, opts, false)
+	return report, err
 }
 
 // CheckCommitWith is CheckCommit reusing a shared Session, so many
@@ -293,22 +288,31 @@ func CheckCommitWith(session *Session, repo *Repo, id string, opts Options) (*Re
 	if err != nil {
 		return nil, fmt.Errorf("jmake: %w", err)
 	}
-	return checkCommitWith(session, repo, tree, id, opts)
+	report, _, err := checkCommit(session, repo, tree, id, opts, false)
+	return report, err
 }
 
-func checkCommitWith(session *Session, repo *Repo, tree *Tree, id string, opts Options) (*Report, error) {
+// checkCommit checks commit id over its post-commit snapshot tree with
+// the model seeded by the ID's length, recording the patch's span tree
+// when traced (the span is nil otherwise). Tracing never changes the
+// report.
+func checkCommit(session *Session, repo *Repo, tree *Tree, id string, opts Options, traced bool) (*Report, *TraceSpan, error) {
 	fds, err := repo.FileDiffs(id)
 	if err != nil {
-		return nil, fmt.Errorf("jmake: %w", err)
+		return nil, nil, fmt.Errorf("jmake: %w", err)
 	}
-	kept := fds[:0:0]
-	for _, fd := range fds {
-		if eval.RelevantPath(fd.NewPath) {
-			kept = append(kept, fd)
-		}
+	model := vclock.DefaultModel(uint64(len(id)))
+	checker := session.Checker(tree, model, opts)
+	var rec *trace.Recorder
+	if traced {
+		rec = trace.NewRecorder(trace.KindPatch, model.NewClock(), trace.A("commit", id))
+		checker.SetTrace(rec)
 	}
-	checker := session.Checker(tree, vclock.DefaultModel(uint64(len(id))), opts)
-	return checker.CheckPatch(id, kept)
+	report, err := checker.CheckPatch(id, eval.RelevantDiffs(fds))
+	if err != nil {
+		return nil, nil, err
+	}
+	return report, rec.Finish(), nil
 }
 
 // Tracing types (internal/trace): spans are stamped with virtual times
@@ -330,25 +334,7 @@ func CheckCommitTraced(session *Session, repo *Repo, id string, opts Options) (*
 	if err != nil {
 		return nil, nil, fmt.Errorf("jmake: %w", err)
 	}
-	fds, err := repo.FileDiffs(id)
-	if err != nil {
-		return nil, nil, fmt.Errorf("jmake: %w", err)
-	}
-	kept := fds[:0:0]
-	for _, fd := range fds {
-		if eval.RelevantPath(fd.NewPath) {
-			kept = append(kept, fd)
-		}
-	}
-	model := vclock.DefaultModel(uint64(len(id)))
-	checker := session.Checker(tree, model, opts)
-	rec := trace.NewRecorder(trace.KindPatch, model.NewClock(), trace.A("commit", id))
-	checker.SetTrace(rec)
-	report, err := checker.CheckPatch(id, kept)
-	if err != nil {
-		return nil, nil, err
-	}
-	return report, rec.Finish(), nil
+	return checkCommit(session, repo, tree, id, opts, true)
 }
 
 // MergeTraces assembles per-patch span trees — in checking order, which
