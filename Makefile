@@ -110,13 +110,22 @@ cache-smoke:
 # Trace determinism: the Chrome trace export must be structurally valid
 # (balanced B/E pairs, monotone per-track timestamps, valid pid/tid — see
 # cmd/trace-check) and byte-identical across worker counts, because span
-# times come from the virtual clock, never the host scheduler.
+# times come from the virtual clock, never the host scheduler. The faulted
+# pass (arch breaks, transient failures, truncations, stalls) must also be
+# byte-identical with the result cache off: every cache-probe mark carries
+# the key the make's own probe computed, cache or no cache.
 trace-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) run ./cmd/jmake-eval -tree-scale 0.15 -commit-scale 0.008 -workers 1 -trace-out "$$dir/w1.json" summary >/dev/null && \
 	$(GO) run ./cmd/jmake-eval -tree-scale 0.15 -commit-scale 0.008 -workers 4 -trace-out "$$dir/w4.json" summary >/dev/null && \
 	$(GO) run ./cmd/trace-check "$$dir/w1.json" "$$dir/w4.json" && \
-	cmp "$$dir/w1.json" "$$dir/w4.json" && echo "trace-smoke: traces valid and byte-identical across workers"
+	cmp "$$dir/w1.json" "$$dir/w4.json" && echo "trace-smoke: traces valid and byte-identical across workers" && \
+	$(GO) run ./cmd/jmake-eval -tree-scale 0.15 -commit-scale 0.008 -fault-rate 0.3 -workers 1 -trace-out "$$dir/f1.json" summary >/dev/null && \
+	$(GO) run ./cmd/jmake-eval -tree-scale 0.15 -commit-scale 0.008 -fault-rate 0.3 -workers 4 -trace-out "$$dir/f4.json" summary >/dev/null && \
+	$(GO) run ./cmd/jmake-eval -tree-scale 0.15 -commit-scale 0.008 -fault-rate 0.3 -no-result-cache -trace-out "$$dir/fnc.json" summary >/dev/null && \
+	$(GO) run ./cmd/trace-check "$$dir/f1.json" "$$dir/f4.json" "$$dir/fnc.json" && \
+	cmp "$$dir/f1.json" "$$dir/f4.json" && cmp "$$dir/f1.json" "$$dir/fnc.json" && \
+	echo "trace-smoke: faulted traces valid and byte-identical across workers and cache states"
 
 # Incremental-follower round trip: stream 20 commits warm at workers 1
 # and 4 plus a cold comparator pass, cmp every report three ways (warmth

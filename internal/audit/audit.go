@@ -119,10 +119,9 @@ type Params struct {
 
 // archCtx is one architecture's Kconfig knowledge.
 type archCtx struct {
-	name    string
-	root    string
-	kt      *kconfig.Tree
-	selects map[string]bool
+	name string
+	root string
+	kt   *kconfig.Tree
 }
 
 // Deterministic virtual-time prices for trace spans: proportional to work
@@ -259,7 +258,6 @@ func discoverArches(p Params) ([]*archCtx, error) {
 			return nil, fmt.Errorf("audit: parsing %s: %w", ac.root, err)
 		}
 		ac.kt = kt
-		ac.selects = kt.SelectTargets()
 	}
 	return out, nil
 }

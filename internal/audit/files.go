@@ -142,7 +142,7 @@ func scanFile(t *fstree.Tree, path string, arches []*archCtx, declared, ignore m
 					gate = &g
 				}
 			}
-			switch presence.Decide(presence.ArchFormula(ac.kt, ac.selects, rg.Cond, gate)) {
+			switch presence.Decide(presence.ArchFormula(ac.kt, rg.Cond, gate)) {
 			case presence.SatYes:
 				dead = false
 			case presence.SatUnknown:

@@ -81,6 +81,7 @@ func checkSymbols(arches []*archCtx, ignore map[string]bool, suppressed *int) ([
 // aggregator can demand unanimity across declaring architectures.
 func checkArchSymbols(ac *archCtx) (flagged []symIssue, applicable map[string]bool, unknown int) {
 	kt := ac.kt
+	selects := kt.SelectTargets()
 	applicable = make(map[string]bool)
 	names := kt.Names()
 	sort.Strings(names)
@@ -97,7 +98,7 @@ func checkArchSymbols(ac *archCtx) (flagged []symIssue, applicable map[string]bo
 		// Select targets are exempt from dependency-based deadness: a
 		// select raises them regardless of their own depends-on.
 		ownDead := presence.SatYes
-		if !ac.selects[name] && s.DependsOn != nil {
+		if !selects[name] && s.DependsOn != nil {
 			enabled, _ := presence.DependsFormulas(kt, s.DependsOn)
 			enabled = presence.Substitute(enabled, presence.UndeclaredKnow(kt))
 			ownDead = presence.Decide(enabled)
@@ -118,7 +119,7 @@ func checkArchSymbols(ac *archCtx) (flagged []symIssue, applicable map[string]bo
 		// Chain contradiction: each link satisfiable on its own, but the
 		// transitive closure of depends-on implications is not. Skipped
 		// when the symbol is already dead by its own clause.
-		if !ac.selects[name] && s.DependsOn != nil && ownDead != presence.SatNo {
+		if !selects[name] && s.DependsOn != nil && ownDead != presence.SatNo {
 			ch := chainFormula(ac, name)
 			switch presence.Decide(ch) {
 			case presence.SatNo:
@@ -183,6 +184,7 @@ func checkArchSymbols(ac *archCtx) (flagged []symIssue, applicable map[string]bo
 // which only widens satisfiability and keeps SatNo proofs sound.
 func chainFormula(ac *archCtx, name string) presence.Formula {
 	kt := ac.kt
+	selects := kt.SelectTargets()
 	f := presence.SymbolEnabled(kt, name)
 	done := make(map[string]bool)
 	for depth := 0; depth < 8; depth++ {
@@ -202,7 +204,7 @@ func chainFormula(ac *archCtx, name string) presence.Formula {
 				root, isMod = r, true
 			}
 			s := kt.Symbol(root)
-			if s == nil || ac.selects[root] || s.DependsOn == nil {
+			if s == nil || selects[root] || s.DependsOn == nil {
 				continue
 			}
 			enabled, isYes := presence.DependsFormulas(kt, s.DependsOn)

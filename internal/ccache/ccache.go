@@ -265,8 +265,11 @@ func (c *Cache) Stats() StatsSet {
 }
 
 // AddSaved credits the stage's effective-time ledger (full price minus
-// probe cost for one serve).
+// probe cost for one serve). A nil cache keeps no ledger.
 func (c *Cache) AddSaved(stage Stage, d time.Duration) {
+	if c == nil {
+		return
+	}
 	c.series[stage].savedNS.AddDuration(d)
 }
 
@@ -313,8 +316,12 @@ func (c *Cache) Dependents(paths []string) map[string][]string {
 	return out
 }
 
-// NoteDedup counts one within-invocation dedupe hit.
+// NoteDedup counts one within-invocation dedupe hit. A nil cache counts
+// nothing.
 func (c *Cache) NoteDedup(stage Stage) {
+	if c == nil {
+		return
+	}
 	c.series[stage].deduped.Inc()
 }
 
@@ -370,36 +377,25 @@ type Context struct {
 	ctx uint64
 }
 
-// Context builds a probe context.
+// Context builds a probe context. A nil cache yields probes that compute
+// their key and always miss (see Probe).
 func (c *Cache) Context(stage Stage, archName string, configFP, optsFP uint64) Context {
-	return Context{c: c, stg: stage, ctx: ContextKey(stage, archName, configFP, optsFP)}
-}
-
-// ContextKey hashes the invariant probe-context components. Exposed so
-// the tracing layer can compute probe identities even when no cache is
-// attached (trace cache-outcome stamping must be cache-state-invariant).
-func ContextKey(stage Stage, archName string, configFP, optsFP uint64) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte{byte(stage)})
 	_, _ = h.Write([]byte(archName))
 	_, _ = h.Write([]byte{0})
 	hashU64(h, configFP)
 	hashU64(h, optsFP)
-	return h.Sum64()
-}
-
-// KeyFor returns the probe key a Probe for rootContent under ctxKey
-// would carry — the same identity Probe.Key reports when a cache is
-// attached.
-func KeyFor(stage Stage, ctxKey uint64, rootContent string) uint64 {
-	return probeKey(stage, ctxKey, hashContent(rootContent))
+	return Context{c: c, stg: stage, ctx: h.Sum64()}
 }
 
 // Probe is the result of one lookup. On a hit the payload fields are
 // filled and the probe is finished. On a miss the caller holds the
 // probe key's in-flight slot and MUST finish the probe with exactly one
 // of StoreI / StoreO / StoreFailure / Cancel — other workers probing the
-// same key wait until then (compute-exactly-once).
+// same key wait until then (compute-exactly-once). A probe of a nil
+// cache still computes its Key, always misses, and counts and stores
+// nothing, so a builder runs one path with the cache on or off.
 type Probe struct {
 	c        *Cache
 	stg      Stage
@@ -407,7 +403,6 @@ type Probe struct {
 	src      Source
 	rootPath string
 	rootHash uint64
-	rootOK   bool
 	done     bool
 
 	// Key identifies the probe (context + root content); the builder uses
@@ -431,19 +426,21 @@ type Probe struct {
 func (cx Context) Probe(src Source, rootPath string) *Probe {
 	p := &Probe{c: cx.c, stg: cx.stg, ctx: cx.ctx, src: src, rootPath: rootPath}
 	content, ok := src.ReadFile(rootPath)
-	if !ok {
-		// Unreadable root: nothing to fingerprint; count the failed lookup
-		// and let the caller recompute (the preprocessor will report the
-		// real error). Store becomes a no-op.
-		cx.c.series[cx.stg].misses.Inc()
+	if ok {
+		p.rootHash = hashContent(content)
+		p.Key = probeKey(cx.stg, cx.ctx, p.rootHash)
+	}
+	c := cx.c
+	if c == nil || !ok {
+		// No cache, or an unreadable root with nothing to fingerprint (the
+		// preprocessor will report the real error): the caller recomputes
+		// and Store becomes a no-op. Only a cache counts the failed lookup.
+		if c != nil {
+			c.series[cx.stg].misses.Inc()
+		}
 		p.done = true
 		return p
 	}
-	p.rootOK = true
-	p.rootHash = hashContent(content)
-	p.Key = probeKey(cx.stg, cx.ctx, p.rootHash)
-
-	c := cx.c
 	sh := c.shardFor(p.Key)
 	for {
 		sh.mu.Lock()
@@ -586,38 +583,35 @@ func (p *Probe) buildDeps(inputs, missing []string) []dep {
 
 // StoreI finishes a miss with a successful preprocessing result.
 func (p *Probe) StoreI(inputs, missing []string, text string, work vclock.FileWork) {
-	p.store(&entry{
-		stage: StageI, ctx: p.ctx, rootPath: p.rootPath,
-		deps: p.buildDeps(inputs, missing), text: text, work: work,
-	})
+	p.store(inputs, missing, &entry{stage: StageI, text: text, work: work})
 }
 
 // StoreO finishes a miss with a successful compilation verdict.
 func (p *Probe) StoreO(inputs, missing []string, obj cc.Object) {
-	p.store(&entry{
-		stage: StageO, ctx: p.ctx, rootPath: p.rootPath,
-		deps: p.buildDeps(inputs, missing), object: obj,
-	})
+	p.store(inputs, missing, &entry{stage: StageO, object: obj})
 }
 
 // StoreFailure finishes a miss with a genuine (deterministic) failure.
 // Injected faults must never reach here: the builder rolls them before
 // probing, so fault outcomes are neither stored nor served.
 func (p *Probe) StoreFailure(inputs, missing []string, errText string) {
-	p.store(&entry{
-		stage: p.stg, ctx: p.ctx, rootPath: p.rootPath,
-		deps: p.buildDeps(inputs, missing), failed: true, errText: errText,
-	})
+	p.store(inputs, missing, &entry{stage: p.stg, failed: true, errText: errText})
 }
 
 // Cancel finishes a miss without storing (counts as a plain miss).
-func (p *Probe) Cancel() { p.store(nil) }
+func (p *Probe) Cancel() { p.store(nil, nil, nil) }
 
-func (p *Probe) store(e *entry) {
+// store finishes a miss, inserting e (when non-nil) with the manifest of
+// inputs and missing. A finished probe returns before hashing the
+// closure.
+func (p *Probe) store(inputs, missing []string, e *entry) {
 	if p.done {
 		return
 	}
 	p.done = true
+	if e != nil {
+		e.ctx, e.rootPath, e.deps = p.ctx, p.rootPath, p.buildDeps(inputs, missing)
+	}
 	c := p.c
 	sh := c.shardFor(p.Key)
 	sh.mu.Lock()

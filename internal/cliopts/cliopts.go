@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"jmake"
-	"jmake/internal/ccache"
 )
 
 // Workspace selects the generated evaluation substrate: which
@@ -160,9 +159,7 @@ func (c Cache) Apply(session *jmake.Session) {
 	case c.Disable:
 		session.SetResultCache(nil)
 	case c.Dir != "":
-		rc := ccache.NewIn(session.Metrics())
-		rc.Load(c.Dir) // best-effort warm start; corrupt = cold
-		session.SetResultCache(rc)
+		session.ResultCache().Load(c.Dir) // best-effort warm start; corrupt = cold
 	}
 }
 

@@ -119,17 +119,15 @@ func TestWorkspaceBuildAndSession(t *testing.T) {
 		t.Fatalf("SessionAt: %v", err)
 	}
 
-	// Cache wiring: disabled wins over dir; dir warm-starts into the
-	// session registry and flushes back out.
-	Cache{Disable: true, Dir: t.TempDir()}.Apply(session)
-	if session.ResultCache() != nil {
-		t.Error("Disable did not clear the result cache")
-	}
+	// Cache wiring: dir warm-starts the session's own result cache (its
+	// counters are session registry series) and flushes back out;
+	// disabled wins over dir.
+	own := session.ResultCache()
 	dir := t.TempDir()
 	c := Cache{Dir: dir}
 	c.Apply(session)
-	if session.ResultCache() == nil {
-		t.Fatal("cache dir did not install a result cache")
+	if session.ResultCache() != own {
+		t.Fatal("cache dir replaced the session's result cache")
 	}
 	if err := c.Flush(session); err != nil {
 		t.Fatalf("Flush: %v", err)
@@ -139,5 +137,9 @@ func TestWorkspaceBuildAndSession(t *testing.T) {
 	}
 	if err := (Cache{}).Flush(session); err != nil {
 		t.Errorf("no-dir Flush should be a no-op: %v", err)
+	}
+	Cache{Disable: true, Dir: t.TempDir()}.Apply(session)
+	if session.ResultCache() != nil {
+		t.Error("Disable did not clear the result cache")
 	}
 }

@@ -448,32 +448,19 @@ func (c *Checker) newBuilders(report *PatchReport, mutatedTree *fstree.Tree, arc
 		c.run.noteArch(archName, err)
 		return nil, err
 	}
-	ib, err := kbuild.NewBuilder(mutatedTree, arch, cfg, c.meta, c.model)
+	bp, err := c.newPair(mutatedTree, arch, cfg)
 	if err != nil {
 		c.run.noteArch(archName, err)
 		return nil, err
 	}
-	ob, err := kbuild.NewBuilder(c.tree, arch, cfg, c.meta, c.model)
-	if err != nil {
-		c.run.noteArch(archName, err)
-		return nil, err
-	}
-	ib.Cache = c.tokens
-	ob.Cache = c.tokens
-	ib.Faults = c.run.inj
-	ob.Faults = c.run.inj
-	ib.Results = c.results
-	ob.Results = c.results
-	ib.Trace = c.rec
-	ob.Trace = c.rec
 	// Warm set-up: once some builder for this (arch, config) context ran
 	// its one-time make set-up, later builders behave like a build
 	// directory that survived — the full set-up price is still charged
 	// into the report (byte-identity), but lands in the saved ledger
 	// instead of effective time.
 	wasWarm := c.warm.markSetup(archName + "|" + choice.Kind.String() + "|" + choice.Path)
-	ib.WarmSetup, ib.SetupSaved = wasWarm, c.warm.setupSaved
-	ob.WarmSetup, ob.SetupSaved = wasWarm, c.warm.setupSaved
+	bp.ib.WarmSetup, bp.ib.SetupSaved = wasWarm, c.warm.setupSaved
+	bp.ob.WarmSetup, bp.ob.SetupSaved = wasWarm, c.warm.setupSaved
 	d := c.model.ConfigCreate(symbols, report.Commit+":"+archName+":"+choice.Kind.String()+choice.Path)
 	report.ConfigDurations = append(report.ConfigDurations, d)
 	c.run.charge(d)
@@ -489,7 +476,22 @@ func (c *Checker) newBuilders(report *PatchReport, mutatedTree *fstree.Tree, arc
 		trace.A("symbols", strconv.Itoa(symbols))); sp != nil {
 		sp.Key = configTraceKey(archName, choice.Kind.String(), choice.Path)
 	}
-	return &builderPair{ib: ib, ob: ob}, nil
+	return bp, nil
+}
+
+// newPair builds the builder pair for one (arch, config), both sharing the
+// checker's token cache, fault injector, result cache and recorder.
+func (c *Checker) newPair(mutatedTree *fstree.Tree, arch *kbuild.Arch, cfg *kconfig.Config) (*builderPair, error) {
+	var bs [2]*kbuild.Builder
+	for i, tree := range []*fstree.Tree{mutatedTree, c.tree} {
+		b, err := kbuild.NewBuilder(tree, arch, cfg, c.meta, c.model)
+		if err != nil {
+			return nil, err
+		}
+		b.Cache, b.Faults, b.Results, b.Trace = c.tokens, c.run.inj, c.results, c.rec
+		bs[i] = b
+	}
+	return &builderPair{ib: bs[0], ob: bs[1]}, nil
 }
 
 // processCFiles drives the §III-D loop: for each candidate architecture

@@ -119,3 +119,35 @@ func TestConfigProviderMissesEqualDistinctKeysAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// Structural classifies with the rules Session.Refresh invalidates by.
+func TestStructuralClassification(t *testing.T) {
+	structural := []string{
+		kbuild.MetaPath,
+		"arch/x86_64/configs/defconfig",
+		"drivers/foo/Kconfig",
+		"drivers/foo/Kconfig.debug",
+		"drivers/foo/Makefile",
+		"drivers/foo/Kbuild",
+	}
+	for _, p := range structural {
+		if !Structural([]string{p}) {
+			t.Errorf("Structural(%q) = false, want true", p)
+		}
+	}
+	plain := [][]string{
+		{"drivers/foo/main.c"},
+		{"include/linux/top.h"},
+		{"Documentation/Makefile.txt"},
+		{},
+	}
+	for _, ps := range plain {
+		if Structural(ps) {
+			t.Errorf("Structural(%v) = true, want false", ps)
+		}
+	}
+	// One structural path anywhere in the set flips the whole commit.
+	if !Structural([]string{"drivers/foo/main.c", "drivers/foo/Kconfig"}) {
+		t.Error("mixed change set not classified structural")
+	}
+}

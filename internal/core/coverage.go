@@ -132,20 +132,10 @@ func (c *Checker) processCoverageConfigs(report *PatchReport, mutatedTree *fstre
 			if !satisfied {
 				continue
 			}
-			ib, err1 := kbuild.NewBuilder(mutatedTree, arch, cfg, c.meta, c.model)
-			ob, err2 := kbuild.NewBuilder(c.tree, arch, cfg, c.meta, c.model)
-			if err1 != nil || err2 != nil {
+			bp, err := c.newPair(mutatedTree, arch, cfg)
+			if err != nil {
 				continue
 			}
-			ib.Cache = c.tokens
-			ob.Cache = c.tokens
-			ib.Faults = c.run.inj
-			ob.Faults = c.run.inj
-			ib.Results = c.results
-			ob.Results = c.results
-			ib.Trace = c.rec
-			ob.Trace = c.rec
-			bp := &builderPair{ib: ib, ob: ob}
 			c.runGroup(report, bp, kbuild.HostArch,
 				ConfigChoice{Kind: ConfigCoverage}, []*fileState{fs}, fs.muts)
 		}

@@ -30,8 +30,8 @@ type Session struct {
 	configs *ConfigProvider
 	tokens  *cpp.TokenCache
 	results *ccache.Cache
-	// warm holds the session-scoped static Kconfig knowledge, set-up marks
-	// and saved-effective-time ledgers.
+	// warm holds the session-scoped set-up marks and saved-effective-time
+	// ledgers.
 	warm *warmState
 }
 
@@ -85,8 +85,8 @@ func (s *Session) ResultCacheStats() (ccache.StatsSet, bool) {
 }
 
 // EnableWarm is a no-op kept for callers written when warmth was opt-in:
-// every Session is warm. Its checkers share per-arch static Kconfig
-// knowledge and credit cache-served work into saved-effective-time
+// every Session is warm. Its checkers share per-arch Kconfig parses and
+// valuations and credit cache-served work into saved-effective-time
 // ledgers; reports are byte-identical either way — warmth only changes
 // how much effective time a check costs, never what it says.
 func (s *Session) EnableWarm() {}
@@ -119,9 +119,8 @@ type RefreshSummary struct {
 	// ConfigsInvalidated lists architectures whose cached valuations were
 	// dropped individually (empty when KconfigReset dropped them all).
 	ConfigsInvalidated []string
-	// StaticsDropped / SetupDropped count warm-cache entries invalidated.
-	StaticsDropped int
-	SetupDropped   int
+	// SetupDropped counts warm set-up marks invalidated.
+	SetupDropped int
 }
 
 // Refresh advances the session past a commit: given the tree after the
@@ -136,8 +135,8 @@ type RefreshSummary struct {
 //     rebuild the arch index, drop every cached valuation and warm entry;
 //   - any arch/<A>/ path → rediscover architectures and rebuild the arch
 //     index (discovery and the §III-C heuristic both scan arch/), drop
-//     <A>'s valuations and set-up state, drop all cached statics;
-//   - any file named Kconfig* → drop every valuation, static entry and
+//     <A>'s Kconfig parse, valuations and set-up state;
+//   - any file named Kconfig* → drop every Kconfig parse, valuation and
 //     set-up mark (a shared Kconfig file may be sourced by any root);
 //   - any Makefile/Kbuild    → drop set-up marks (makefile parses are
 //     keyed by content in kbuild and need no invalidation);
@@ -149,65 +148,82 @@ type RefreshSummary struct {
 // the wider rule.
 func (s *Session) Refresh(tree *fstree.Tree, changed []string) (RefreshSummary, error) {
 	var sum RefreshSummary
-	archSet := make(map[string]bool)
-	var metaTouched, archTouched, kconfigTouched, makefileTouched bool
-	for _, p := range changed {
-		p = fstree.Clean(p)
-		base := p[strings.LastIndexByte(p, '/')+1:]
-		if p == kbuild.MetaPath {
-			metaTouched = true
-		}
-		if rest, ok := strings.CutPrefix(p, "arch/"); ok {
-			archTouched = true
-			if i := strings.IndexByte(rest, '/'); i > 0 {
-				archSet[rest[:i]] = true
-			}
-		}
-		if strings.HasPrefix(base, "Kconfig") {
-			kconfigTouched = true
-		}
-		if base == "Makefile" || base == "Kbuild" {
-			makefileTouched = true
-		}
-	}
-
-	if metaTouched {
+	ch := classifyChanges(changed)
+	if ch.meta {
 		meta, err := kbuild.LoadMeta(tree)
 		if err != nil {
 			return sum, fmt.Errorf("core: refresh: %w", err)
 		}
 		s.meta = meta
 		sum.MetaReloaded = true
-		archTouched = true    // rediscover against the new metadata
-		kconfigTouched = true // drop everything valuation-shaped
+		ch.arch = true    // rediscover against the new metadata
+		ch.kconfig = true // drop everything valuation-shaped
 	}
-	if archTouched {
+	if ch.arch {
 		s.arches = kbuild.DiscoverArches(tree, s.meta)
 		s.archIx = buildArchIndex(tree, s.arches)
 		sum.ArchesRebuilt = true
-		if !kconfigTouched {
-			for _, a := range sortedKeys(archSet) {
+		if !ch.kconfig {
+			for _, a := range sortedKeys(ch.archNames) {
 				s.configs.Invalidate(a)
 				sum.ConfigsInvalidated = append(sum.ConfigsInvalidated, a)
 			}
 		}
 	}
-	if kconfigTouched {
+	if ch.kconfig {
 		s.configs.InvalidateAll()
 		sum.KconfigReset = true
 	}
-	if archTouched || kconfigTouched {
-		sum.StaticsDropped += s.warm.dropAllStatics()
-	}
 	switch {
-	case kconfigTouched || makefileTouched:
+	case ch.kconfig || ch.makefile:
 		sum.SetupDropped += s.warm.dropAllSetup()
-	case archTouched:
-		for _, a := range sortedKeys(archSet) {
+	case ch.arch:
+		for _, a := range sortedKeys(ch.archNames) {
 			sum.SetupDropped += s.warm.dropSetupArch(a)
 		}
 	}
 	return sum, nil
+}
+
+// changeClass is what a commit's changed paths touch, in the terms of
+// Refresh's invalidation rules.
+type changeClass struct {
+	meta, arch, kconfig, makefile bool
+	// archNames holds A for every arch/<A>/ path.
+	archNames map[string]bool
+}
+
+func classifyChanges(changed []string) changeClass {
+	ch := changeClass{archNames: make(map[string]bool)}
+	for _, p := range changed {
+		p = fstree.Clean(p)
+		base := p[strings.LastIndexByte(p, '/')+1:]
+		if p == kbuild.MetaPath {
+			ch.meta = true
+		}
+		if rest, ok := strings.CutPrefix(p, "arch/"); ok {
+			ch.arch = true
+			if i := strings.IndexByte(rest, '/'); i > 0 {
+				ch.archNames[rest[:i]] = true
+			}
+		}
+		if strings.HasPrefix(base, "Kconfig") {
+			ch.kconfig = true
+		}
+		if base == "Makefile" || base == "Kbuild" {
+			ch.makefile = true
+		}
+	}
+	return ch
+}
+
+// Structural reports whether any changed path invalidates session-level
+// state in Refresh (build metadata, architecture trees, Kconfig inputs,
+// Makefiles), so a follower can put a concurrency barrier in front of the
+// refresh.
+func Structural(changed []string) bool {
+	ch := classifyChanges(changed)
+	return ch.meta || ch.arch || ch.kconfig || ch.makefile
 }
 
 // sortedKeys returns the map's keys in deterministic order.

@@ -42,22 +42,12 @@ type staticInfo struct {
 	predCount map[string]int
 }
 
-// archStatic is per-architecture Kconfig knowledge for the pre-pass,
-// cached for the session's lifetime (warmState.staticArch).
-type archStatic struct {
+// archGate pairs an architecture's Kconfig tree (nil when it failed to
+// parse) with the file's Kbuild gate under that architecture (nil when the
+// Makefile walk failed).
+type archGate struct {
 	arch *kbuild.Arch
 	kt   *kconfig.Tree
-	// selects are symbols forced by some `select`: the fixpoint raises them
-	// regardless of their own dependencies, so their `depends on` must not
-	// become a hard constraint.
-	selects map[string]bool
-	err     error
-}
-
-// archGate pairs an architecture's Kconfig knowledge with the file's Kbuild
-// gate under that architecture (nil when the Makefile walk failed).
-type archGate struct {
-	as   *archStatic
 	gate *kbuild.Gate
 }
 
@@ -157,16 +147,17 @@ func (c *Checker) headerArches(path string) []string {
 	return out
 }
 
-// archGates resolves each architecture's Kconfig context and (for gated .c
-// files) the file's Kbuild gate under it.
+// archGates resolves each architecture's Kconfig tree from the session's
+// parse cache and (for gated .c files) the file's Kbuild gate under it.
 func (c *Checker) archGates(path string, archNames []string, gated bool) []archGate {
 	var out []archGate
 	for _, an := range archNames {
-		as := c.warm.staticArch(c, an)
-		if as == nil {
+		arch := c.arches[an]
+		if arch == nil {
 			continue
 		}
-		ag := archGate{as: as}
+		ag := archGate{arch: arch}
+		ag.kt, _ = c.configs.KconfigTree(c.tree, arch) // a failed parse leaves kt nil: alive
 		if gated {
 			if g, err := kbuild.FileGate(c.tree, path, an); err == nil {
 				ag.gate = &g
@@ -184,7 +175,7 @@ func condDead(cond presence.Formula, ags []archGate) bool {
 		return false
 	}
 	for _, ag := range ags {
-		if archAlive(ag.as, cond, ag.gate) {
+		if archAlive(ag, cond) {
 			return false
 		}
 	}
@@ -196,12 +187,11 @@ func condDead(cond presence.Formula, ags []archGate) bool {
 // the Kconfig constraints over its symbols (presence.ArchFormula), then
 // checked for satisfiability. Any gap in knowledge — a parse failure, or a
 // formula wider than the SAT bound — errs toward alive.
-func archAlive(as *archStatic, cond presence.Formula, gate *kbuild.Gate) bool {
-	if as.err != nil {
+func archAlive(ag archGate, cond presence.Formula) bool {
+	if ag.kt == nil {
 		return true
 	}
-	f := presence.ArchFormula(as.kt, as.selects, cond, gate)
-	return presence.Decide(f) != presence.SatNo
+	return presence.Decide(presence.ArchFormula(ag.kt, cond, ag.gate)) != presence.SatNo
 }
 
 // predictArch evaluates each live mutation's condition under one
@@ -210,12 +200,12 @@ func archAlive(as *archStatic, cond presence.Formula, gate *kbuild.Gate) bool {
 // mutations never do (their markers surface at macro use sites, not at the
 // definition line).
 func (c *Checker) predictArch(fs *fileState, pf *presence.File, si *staticInfo, ag archGate) {
-	as, gate := ag.as, ag.gate
-	if as.err != nil || as.arch.Broken || gate == nil {
+	kt, gate := ag.kt, ag.gate
+	if kt == nil || ag.arch.Broken || gate == nil {
 		return
 	}
-	archName := as.arch.Name
-	cfg, _, err := c.configs.Get(c.tree, as.arch, ConfigChoice{Kind: ConfigAllYes}, nil)
+	archName := ag.arch.Name
+	cfg, _, err := c.configs.Get(c.tree, ag.arch, ConfigChoice{Kind: ConfigAllYes}, nil)
 	if err != nil {
 		return
 	}
@@ -235,11 +225,11 @@ func (c *Checker) predictArch(fs *fileState, pf *presence.File, si *staticInfo, 
 			return false, false
 		}
 		base := strings.TrimPrefix(name, "CONFIG_")
-		if as.kt.Symbol(base) != nil {
+		if kt.Symbol(base) != nil {
 			return cfg.Value(base) == kconfig.Yes, true
 		}
 		if root, ok := strings.CutSuffix(base, "_MODULE"); ok {
-			if as.kt.Symbol(root) != nil {
+			if kt.Symbol(root) != nil {
 				return cfg.Value(root) == kconfig.Mod, true
 			}
 		}

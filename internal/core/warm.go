@@ -12,17 +12,12 @@ import (
 // empty and whose ledgers nobody reads.
 //
 // The dependability contract: nothing cached here may ever change a
-// report byte. Cached static Kconfig knowledge is a pure recomputation of
-// session-invariant inputs, invalidated by Session.Refresh the moment a
-// commit touches those inputs; the ledgers only measure how much
+// report byte. Set-up marks are invalidated by Session.Refresh the moment
+// a commit touches the build inputs; the ledgers only measure how much
 // *effective* (wall-clock-analogue) time the warmth saved, while reported
 // durations keep charging the full cold price.
 type warmState struct {
 	mu sync.Mutex
-	// statics caches per-arch Kconfig knowledge for the static presence
-	// pre-pass, so a session pays the Kconfig walk once per architecture
-	// instead of once per check.
-	statics map[string]*archStatic
 	// setupDone marks arch|kind|path builder contexts whose one-time make
 	// set-up already ran this session — the analogue of a build directory
 	// that survives between commits. Builders for a marked context get
@@ -39,7 +34,6 @@ type warmState struct {
 
 func newWarmState(reg *metrics.Registry) *warmState {
 	return &warmState{
-		statics:     make(map[string]*archStatic),
 		setupDone:   make(map[string]bool),
 		configSaved: reg.Counter("warm_saved_ns", metrics.L("ledger", "config")),
 		setupSaved:  reg.Counter("warm_saved_ns", metrics.L("ledger", "setup")),
@@ -56,43 +50,8 @@ func (w *warmState) markSetup(key string) (was bool) {
 	return was
 }
 
-// staticArch serves per-arch static Kconfig knowledge from the session
-// cache. Computation happens under the lock: it runs once per arch per
-// session and the underlying Kconfig parse is itself an elected
-// computation, so contention is negligible.
-func (w *warmState) staticArch(c *Checker, name string) *archStatic {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if as, ok := w.statics[name]; ok {
-		return as
-	}
-	arch := c.arches[name]
-	if arch == nil {
-		return nil
-	}
-	as := &archStatic{arch: arch}
-	as.kt, as.err = c.configs.KconfigTree(c.tree, arch)
-	if as.err == nil {
-		as.selects = as.kt.SelectTargets()
-	} else {
-		// Like the config provider, never cache a failure: transient tree
-		// states must not poison the session.
-		return as
-	}
-	w.statics[name] = as
-	return as
-}
-
 // Invalidation — called by Session.Refresh with the session lock semantics
 // documented there (no concurrent checkers).
-
-func (w *warmState) dropAllStatics() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := len(w.statics)
-	w.statics = make(map[string]*archStatic)
-	return n
-}
 
 func (w *warmState) dropAllSetup() int {
 	w.mu.Lock()

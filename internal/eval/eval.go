@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"strings"
 
-	"jmake/internal/ccache"
 	"jmake/internal/commitgen"
 	"jmake/internal/core"
 	"jmake/internal/fstree"
@@ -226,9 +225,7 @@ func (r *Run) checkWindow(ids []string) error {
 	if r.Params.NoResultCache {
 		session.SetResultCache(nil)
 	} else if r.Params.CacheDir != "" {
-		rc := ccache.NewIn(session.Metrics())
-		rc.Load(r.Params.CacheDir) // best-effort warm start; corrupt = cold
-		session.SetResultCache(rc)
+		session.ResultCache().Load(r.Params.CacheDir) // best-effort warm start; corrupt = cold
 	}
 	model := vclock.DefaultModel(r.Params.ModelSeed)
 	ctx := r.Params.Ctx

@@ -185,7 +185,7 @@ func (f *Follower) apply(cid string, stats bool) (StepResult, error) {
 	res := StepResult{
 		Commit:     cid,
 		Touched:    len(paths),
-		Structural: Structural(paths),
+		Structural: core.Structural(paths),
 	}
 	if stats {
 		res.InvalidatedTUs = len(f.index.Dependents(f.tree, f.resultCache(), paths))
@@ -334,7 +334,7 @@ func (f *Follower) Run(ids []string, emit func(StepResult) bool) error {
 		}
 		// Batched mode: structural commits drain in-flight checks before
 		// the session mutates under them.
-		if Structural(commitPaths(f.repo, cid)) {
+		if core.Structural(commitPaths(f.repo, cid)) {
 			flush()
 		}
 		res, err := f.apply(cid, checkIt)

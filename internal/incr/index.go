@@ -25,7 +25,6 @@ import (
 
 	"jmake/internal/ccache"
 	"jmake/internal/fstree"
-	"jmake/internal/kbuild"
 	"jmake/internal/presence"
 )
 
@@ -132,23 +131,6 @@ func matchesTarget(h, target string) bool {
 	return h == target || strings.HasSuffix(h, "/"+target)
 }
 
-// Structural reports whether any changed path invalidates session-level
-// state (build metadata, architecture trees, Kconfig inputs, Makefiles) —
-// the same classification core.Session.Refresh applies, exposed so the
-// follower can put a concurrency barrier in front of the refresh.
-func Structural(changed []string) bool {
-	for _, p := range changed {
-		p = fstree.Clean(p)
-		base := p[strings.LastIndexByte(p, '/')+1:]
-		if p == kbuild.MetaPath || strings.HasPrefix(p, "arch/") ||
-			strings.HasPrefix(base, "Kconfig") ||
-			base == "Makefile" || base == "Kbuild" {
-			return true
-		}
-	}
-	return false
-}
-
 // Dependents returns the translation units (.c paths) whose transitive
 // inputs include any of the changed paths, sorted. Three edge classes
 // contribute:
@@ -163,7 +145,7 @@ func Structural(changed []string) bool {
 //     its directory subtree.
 //
 // Kconfig / Kbuild.meta / arch-wide changes invalidate globally; callers
-// detect those with Structural rather than enumerating the whole tree.
+// detect those with core.Structural rather than enumerating the whole tree.
 // A changed .c file is its own dependent.
 func (ix *Index) Dependents(tree *fstree.Tree, cache *ccache.Cache, changed []string) []string {
 	tus := make(map[string]bool)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"jmake/internal/fstree"
-	"jmake/internal/kbuild"
 )
 
 // indexTree is a hand-built tree exercising every edge class the index
@@ -103,35 +102,4 @@ func TestIndexSuffixMatchingIsPathPrecise(t *testing.T) {
 	ix := NewIndex(tr)
 	wantDeps(t, deps(t, ix, tr, "include/linux/top.h"), "a.c")
 	wantDeps(t, deps(t, ix, tr, "include/linux/stop.h"))
-}
-
-func TestStructuralClassification(t *testing.T) {
-	structural := []string{
-		kbuild.MetaPath,
-		"arch/x86_64/configs/defconfig",
-		"drivers/foo/Kconfig",
-		"drivers/foo/Kconfig.debug",
-		"drivers/foo/Makefile",
-		"drivers/foo/Kbuild",
-	}
-	for _, p := range structural {
-		if !Structural([]string{p}) {
-			t.Errorf("Structural(%q) = false, want true", p)
-		}
-	}
-	plain := [][]string{
-		{"drivers/foo/main.c"},
-		{"include/linux/top.h"},
-		{"Documentation/Makefile.txt"},
-		{},
-	}
-	for _, ps := range plain {
-		if Structural(ps) {
-			t.Errorf("Structural(%v) = true, want false", ps)
-		}
-	}
-	// One structural path anywhere in the set flips the whole commit.
-	if !Structural([]string{"drivers/foo/main.c", "drivers/foo/Kconfig"}) {
-		t.Error("mixed change set not classified structural")
-	}
 }

@@ -60,13 +60,16 @@ type Builder struct {
 	// (transient preprocessor errors, truncated .i output, mid-run
 	// cross-compiler breakage, stalls). nil disables injection.
 	Faults *faultinject.Injector
-	// Results optionally memoizes preprocessing and compilation verdicts
-	// across builds, patches and runs, keyed by the include closure (see
-	// internal/ccache). Reported durations stay at the full recompute
-	// price — caching saves real compute, not reported virtual time — with
-	// the effective probe-priced ledger kept on the cache itself. Injected
-	// faults are rolled before any probe and are never stored or served.
-	// Set it before the first MakeI/MakeO call; nil disables caching.
+	// Results memoizes preprocessing and compilation verdicts across
+	// builds, patches and runs, keyed by the include closure (see
+	// internal/ccache). Every make probes it, and a nil cache is a probe
+	// that always misses and stores nothing, so verdicts, reported
+	// durations and trace marks are the same with the cache on or off.
+	// Reported durations stay at the full recompute price — caching saves
+	// real compute, not reported virtual time — with the effective
+	// probe-priced ledger kept on the cache itself. Injected faults are
+	// rolled before any probe and are never stored or served. Set it
+	// before the first MakeI/MakeO call.
 	Results *ccache.Cache
 	// Trace optionally records every make invocation as a virtual-time
 	// span (internal/trace). Spans carry only cache-state- and worker-
@@ -123,22 +126,11 @@ func (b *Builder) optsFP(asModule bool) uint64 {
 	return b.optsFPNonMod
 }
 
-// cacheContext builds the probe context for this builder's invariants.
-func (b *Builder) cacheContext(stage ccache.Stage, asModule bool) ccache.Context {
+// probe looks up path's verdict for stage in the result cache. The probe
+// computes its key even without a cache, and trace marks carry that key.
+func (b *Builder) probe(stage ccache.Stage, asModule bool, path string) *ccache.Probe {
 	b.fingerprints()
-	return b.Results.Context(stage, b.Arch.Name, b.cfgFP, b.optsFP(asModule))
-}
-
-// traceKey computes the probe identity a cache probe for path would
-// carry, without requiring an attached cache: trace spans must carry the
-// same identities whether the result cache is off, cold or warm.
-func (b *Builder) traceKey(stage ccache.Stage, asModule bool, path string) uint64 {
-	content, ok := TreeSource{b.Tree}.ReadFile(path)
-	if !ok {
-		return 0
-	}
-	b.fingerprints()
-	return ccache.KeyFor(stage, ccache.ContextKey(stage, b.Arch.Name, b.cfgFP, b.optsFP(asModule)), content)
+	return b.Results.Context(stage, b.Arch.Name, b.cfgFP, b.optsFP(asModule)).Probe(TreeSource{b.Tree}, path)
 }
 
 // NewBuilder assembles a builder. It fails for architectures marked broken
@@ -193,11 +185,9 @@ type IFile struct {
 	// #error, ...); other files in the same invocation may still succeed.
 	Err error
 
-	// Trace bookkeeping: whether the file got far enough to have a probe
-	// identity (past reachability and pre-probe faults), and whether it
-	// was preprocessed as a module.
-	keyed bool
-	mod   bool
+	// key is the file's result-cache probe key, 0 when it stopped before
+	// probing (a pre-probe fault or an unreachable file).
+	key uint64
 }
 
 // cppOptions returns the preprocessor options for one file. asModule adds
@@ -275,8 +265,8 @@ func (b *Builder) MakeI(files []string) ([]IFile, time.Duration) {
 	archDown := b.Faults.ArchBroken(b.Arch.Name)
 	results := make([]IFile, 0, len(files))
 	var works []vclock.FileWork // every preprocessed file: the full (reported) price
-	// Effective-ledger state, used only with the result cache: recomputed
-	// files' work plus probe costs for the hits.
+	// Effective-ledger state: recomputed files' work plus probe costs for
+	// the hits.
 	var missWorks []vclock.FileWork
 	var probeCost time.Duration
 	var stored map[uint64]bool // probe keys stored by this invocation (dedupe)
@@ -303,25 +293,8 @@ func (b *Builder) MakeI(files []string) ([]IFile, time.Duration) {
 			results = append(results, r)
 			continue
 		}
-		r.mod = v == kconfig.Mod
-		r.keyed = true
-		if b.Results == nil {
-			res, err := cpp.Preprocess(TreeSource{b.Tree}, r.Path, b.cppOptions(v == kconfig.Mod))
-			if err != nil {
-				r.Err = err
-				results = append(results, r)
-				continue
-			}
-			r.Text = res.Output
-			if b.Faults.TruncateI(b.Arch.Name + ":i:" + r.Path) {
-				r.Text = r.Text[:len(r.Text)/2]
-			}
-			r.Work = vclock.FileWork{Lines: res.InputLines, Includes: res.Includes}
-			works = append(works, r.Work)
-			results = append(results, r)
-			continue
-		}
-		p := b.cacheContext(ccache.StageI, v == kconfig.Mod).Probe(TreeSource{b.Tree}, r.Path)
+		p := b.probe(ccache.StageI, v == kconfig.Mod, r.Path)
+		r.key = p.Key
 		if p.Hit {
 			probeCost += b.Model.CacheProbe(p.Deps, key+":"+r.Path)
 			if stored[p.Key] {
@@ -332,60 +305,46 @@ func (b *Builder) MakeI(files []string) ([]IFile, time.Duration) {
 				results = append(results, r)
 				continue
 			}
-			r.Text = p.Text
-			if b.Faults.TruncateI(b.Arch.Name + ":i:" + r.Path) {
-				r.Text = r.Text[:len(r.Text)/2]
+			r.Text, r.Work = p.Text, p.Work
+		} else {
+			text, work, err := b.preprocessMiss(p, r.Path, v == kconfig.Mod)
+			if stored == nil {
+				stored = make(map[uint64]bool)
 			}
-			r.Work = p.Work
-			works = append(works, r.Work)
-			results = append(results, r)
-			continue
+			stored[p.Key] = true
+			if err != nil {
+				r.Err = err
+				results = append(results, r)
+				continue
+			}
+			r.Text, r.Work = text, work
+			missWorks = append(missWorks, r.Work)
 		}
-		text, work, err := b.preprocessMiss(p, r.Path, v == kconfig.Mod)
-		if stored == nil {
-			stored = make(map[uint64]bool)
-		}
-		stored[p.Key] = true
-		if err != nil {
-			r.Err = err
-			results = append(results, r)
-			continue
-		}
-		r.Text, r.Work = text, work
-		// preprocessMiss stored the clean text before the truncation fault
-		// is applied, so an injected truncation is never served to a later
-		// probe.
+		// The cache holds the clean text: the truncation fault applies to
+		// this copy only, so it is never served to a later probe.
 		if b.Faults.TruncateI(b.Arch.Name + ":i:" + r.Path) {
 			r.Text = r.Text[:len(r.Text)/2]
 		}
 		works = append(works, r.Work)
-		missWorks = append(missWorks, r.Work)
 		results = append(results, r)
 	}
 	dur := b.Model.MakeI(first, b.Arch.SetupOps, works, key)
-	if b.Results != nil {
-		eff := b.Model.MakeI(first, b.Arch.SetupOps, missWorks, key) + probeCost
-		if eff < dur {
-			b.Results.AddSaved(ccache.StageI, dur-eff)
-		}
+	if eff := b.Model.MakeI(first, b.Arch.SetupOps, missWorks, key) + probeCost; eff < dur {
+		b.Results.AddSaved(ccache.StageI, dur-eff)
 	}
 	b.creditWarmSetup(first,
 		b.Model.MakeI(true, b.Arch.SetupOps, nil, key)-b.Model.MakeI(false, b.Arch.SetupOps, nil, key))
 	dur += b.Faults.Stall(key)
 	if span != nil {
 		evs := b.Faults.EventsSince(evBase)
-		for i := range results {
-			r := &results[i]
+		for _, r := range results {
 			attrs := []trace.Attr{trace.A("path", r.Path), trace.A("outcome", outcomeOf(r.Err))}
 			for _, ev := range evs {
 				if ev.Op == b.Arch.Name+":i:"+r.Path {
 					attrs = append(attrs, trace.A("fault", ev.Kind.String()))
 				}
 			}
-			m := b.Trace.Mark(trace.KindFile, attrs...)
-			if r.keyed {
-				m.Key = b.traceKey(ccache.StageI, r.mod, r.Path)
-			}
+			b.Trace.Mark(trace.KindFile, attrs...).Key = r.key
 		}
 		for _, ev := range evs {
 			if ev.Op == key || ev.Op == b.Arch.Name {
@@ -437,12 +396,9 @@ func outcomeOf(err error) string {
 // marks the file that way (paper §V-C).
 func (b *Builder) MakeO(file string) (cc.Object, time.Duration, error) {
 	file = fstree.Clean(file)
-	// Reachability depends only on the tree and configuration, so taking it
-	// before makeO rolls any fault changes no outcome; the traced branch
-	// reuses it for the probe identity.
-	v, reachErr := b.Reachable(file)
 	if b.Trace == nil {
-		return b.makeO(file, v, reachErr)
+		obj, dur, _, err := b.makeO(file)
+		return obj, dur, err
 	}
 	b.fingerprints()
 	span := b.Trace.Open(trace.KindMakeO,
@@ -450,32 +406,25 @@ func (b *Builder) MakeO(file string) (cc.Object, time.Duration, error) {
 		trace.A("cfg", fmt.Sprintf("%016x", b.cfgFP)),
 		trace.A("path", file))
 	evBase := b.Faults.EventCount()
-	obj, dur, err := b.makeO(file, v, reachErr)
+	obj, dur, key, err := b.makeO(file)
 	span.Add(trace.A("outcome", outcomeOf(err)))
-	preProbeFault := false
 	for _, ev := range b.Faults.EventsSince(evBase) {
 		span.Add(trace.A("fault", ev.Kind.String()))
-		if ev.Kind == faultinject.KindPreprocess || ev.Kind == faultinject.KindArchBreak {
-			preProbeFault = true
-		}
 	}
-	// Files that got past reachability and the pre-probe faults have a
-	// probe identity; record it on a cache-probe mark so post-merge
-	// stamping can assign the deterministic cache outcome.
-	if !preProbeFault && reachErr == nil {
-		if k := b.traceKey(ccache.StageO, v == kconfig.Mod, file); k != 0 {
-			m := b.Trace.Mark(trace.KindCacheProbe, trace.A("path", file))
-			m.Key = k
-		}
+	// A make that reached its probe records the probe's key on a
+	// cache-probe mark, so post-merge stamping can assign the
+	// deterministic cache outcome.
+	if key != 0 {
+		b.Trace.Mark(trace.KindCacheProbe, trace.A("path", file)).Key = key
 	}
 	b.Trace.Advance(dur)
 	b.Trace.Close(span)
 	return obj, dur, err
 }
 
-// makeO compiles a cleaned file path whose reachability (v, reachErr) the
-// caller already evaluated.
-func (b *Builder) makeO(file string, v kconfig.Value, reachErr error) (cc.Object, time.Duration, error) {
+// makeO builds a cleaned file path. It also returns the result-cache
+// probe key, 0 when it stopped before probing.
+func (b *Builder) makeO(file string) (cc.Object, time.Duration, uint64, error) {
 	b.invokeSeq++
 	first := !b.invoked
 	b.invoked = true
@@ -491,70 +440,49 @@ func (b *Builder) makeO(file string, v kconfig.Value, reachErr error) (cc.Object
 	failDur := failBase + stall
 	// Injected faults roll before any cache interaction (see MakeI).
 	if b.Faults.ArchBroken(b.Arch.Name) {
-		return cc.Object{}, failDur, fmt.Errorf("%w: %s (broke mid-run)", ErrBrokenArch, b.Arch.Name)
+		return cc.Object{}, failDur, 0, fmt.Errorf("%w: %s (broke mid-run)", ErrBrokenArch, b.Arch.Name)
 	}
 	if b.Faults.FailPreprocess(b.Arch.Name + ":o:" + file) {
-		return cc.Object{}, failDur, fmt.Errorf("%w: compiler crashed on %s (%s)", ErrTransient, file, b.Arch.Name)
+		return cc.Object{}, failDur, 0, fmt.Errorf("%w: compiler crashed on %s (%s)", ErrTransient, file, b.Arch.Name)
 	}
-	if reachErr != nil {
-		return cc.Object{}, failDur, reachErr
+	v, err := b.Reachable(file)
+	if err != nil {
+		return cc.Object{}, failDur, 0, err
 	}
-	if b.Results != nil {
-		p := b.cacheContext(ccache.StageO, v == kconfig.Mod).Probe(TreeSource{b.Tree}, file)
-		// Release a miss's in-flight slot when cpp or cc panics; after a
-		// hit or a store, Cancel does nothing.
-		defer p.Cancel()
-		if p.Hit {
-			probe := b.Model.CacheProbe(p.Deps, key)
-			if p.Failed {
-				if probe < failBase {
-					b.Results.AddSaved(ccache.StageO, failBase-probe)
-				}
-				return cc.Object{}, failDur, errors.New(p.ErrText)
+	p := b.probe(ccache.StageO, v == kconfig.Mod, file)
+	// Release a miss's in-flight slot when cpp or cc panics; after a hit
+	// or a store, Cancel does nothing.
+	defer p.Cancel()
+	var probeCost time.Duration
+	obj := p.Object
+	if p.Hit {
+		probeCost = b.Model.CacheProbe(p.Deps, key)
+		if p.Failed {
+			if probeCost < failBase {
+				b.Results.AddSaved(ccache.StageO, failBase-probeCost)
 			}
-			obj := p.Object
-			prereq := 0
-			if b.Meta.WholeBuildFiles[file] {
-				prereq = b.Tree.Len()
-			}
-			dur := b.Model.MakeO(first, b.Arch.SetupOps, obj.Lines, prereq, key)
-			if probe < dur {
-				b.Results.AddSaved(ccache.StageO, dur-probe)
-			}
-			return obj, dur + stall, nil
+			return cc.Object{}, failDur, p.Key, errors.New(p.ErrText)
 		}
+	} else {
 		res, err := cpp.Preprocess(TreeSource{b.Tree}, file, b.cppOptions(v == kconfig.Mod))
-		if err != nil {
-			p.StoreFailure(res.Inputs, res.Missing, err.Error())
-			return cc.Object{}, failDur, err
+		if err == nil {
+			obj, err = cc.Compile(res.Output)
 		}
-		obj, err := cc.Compile(res.Output)
 		if err != nil {
 			p.StoreFailure(res.Inputs, res.Missing, err.Error())
-			return cc.Object{}, failDur, err
+			return cc.Object{}, failDur, p.Key, err
 		}
 		p.StoreO(res.Inputs, res.Missing, obj)
-		prereq := 0
-		if b.Meta.WholeBuildFiles[file] {
-			prereq = b.Tree.Len()
-		}
-		dur := b.Model.MakeO(first, b.Arch.SetupOps, obj.Lines, prereq, key)
-		return obj, dur + stall, nil
-	}
-	res, err := cpp.Preprocess(TreeSource{b.Tree}, file, b.cppOptions(v == kconfig.Mod))
-	if err != nil {
-		return cc.Object{}, failDur, err
-	}
-	obj, err := cc.Compile(res.Output)
-	if err != nil {
-		return cc.Object{}, failDur, err
 	}
 	prereq := 0
 	if b.Meta.WholeBuildFiles[file] {
 		prereq = b.Tree.Len() // every file in the tree, approximating "the entire kernel"
 	}
 	dur := b.Model.MakeO(first, b.Arch.SetupOps, obj.Lines, prereq, key)
-	return obj, dur + stall, nil
+	if p.Hit && probeCost < dur {
+		b.Results.AddSaved(ccache.StageO, dur-probeCost)
+	}
+	return obj, dur + stall, p.Key, nil
 }
 
 // SetSetupDone marks the configuration's Makefile set-up as already paid,

@@ -11,6 +11,8 @@ import (
 	"jmake/internal/faultinject"
 	"jmake/internal/fstree"
 	"jmake/internal/kconfig"
+	"jmake/internal/trace"
+	"jmake/internal/vclock"
 )
 
 // cacheTree is testTree plus a transitive include chain (netdrv.c ->
@@ -142,13 +144,63 @@ func TestCachePanicReleasesProbe(t *testing.T) {
 			}
 		}()
 		done := make(chan *ccache.Probe, 1)
-		go func() { done <- b.cacheContext(stage, v == kconfig.Mod).Probe(TreeSource{tr}, file) }()
+		go func() { done <- b.probe(stage, v == kconfig.Mod, file) }()
 		select {
 		case p := <-done:
 			p.Cancel()
 		case <-time.After(2 * time.Second):
 			t.Fatalf("stage %d: a probe of the panicked key is still blocked after 2 s", stage)
 		}
+	}
+}
+
+// A make.o span carries the key its own probe computed, with the cache on
+// or off. The plan breaks x86_64 on the 4th call; the calls after it
+// return before probing, so no broken span may hold a cache-probe mark.
+func TestMakeOTraceMarksCarryProbeKey(t *testing.T) {
+	tr := cacheTree(t)
+	for _, tc := range []struct {
+		name string
+		rc   *ccache.Cache
+	}{{"cache", ccache.New()}, {"no-cache", nil}} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := cachedBuilder(t, tr, "x86_64", cfgWith("NETDRV"), tc.rc)
+			b.Faults = faultinject.New(faultinject.Plan{Seed: 1, ArchBreakRate: 1}, "c1")
+			b.Trace = trace.NewRecorder(trace.KindPatch, vclock.DefaultModel(1).NewClock())
+			for i := 0; i < 8; i++ {
+				_, _, _ = b.MakeO("drivers/net/netdrv.c")
+			}
+			var ok, broken int
+			b.Trace.Finish().Walk(func(s *trace.Span) {
+				if s.Kind != trace.KindMakeO {
+					return
+				}
+				marks, keyed := 0, 0
+				for _, c := range s.Children {
+					if c.Kind == trace.KindCacheProbe {
+						marks++
+						if c.Key != 0 {
+							keyed++
+						}
+					}
+				}
+				switch outcome, _ := s.Attr("outcome"); outcome {
+				case "ok":
+					ok++
+					if marks != 1 || keyed != 1 {
+						t.Errorf("ok make.o holds %d cache-probe marks (%d keyed), want 1 keyed", marks, keyed)
+					}
+				case "arch-broken":
+					broken++
+					if marks != 0 {
+						t.Errorf("arch-broken make.o holds %d cache-probe marks, want none", marks)
+					}
+				}
+			})
+			if ok != 3 || broken != 5 {
+				t.Fatalf("%d ok and %d arch-broken make.o spans, want 3 and 5", ok, broken)
+			}
+		})
 	}
 }
 

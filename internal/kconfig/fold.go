@@ -68,17 +68,6 @@ func (t *Tree) DependsClosure(name string, maxDepth int) map[string]Expr {
 // SelectTargets returns the set of symbols forced by any `select` clause in
 // the tree. The fixpoint raises select targets regardless of their own
 // dependencies, so consumers that turn `depends on` into hard constraints
-// must exempt these symbols or they would wrongly prove lines dead.
-func (t *Tree) SelectTargets() map[string]bool {
-	out := make(map[string]bool)
-	for _, name := range t.Names() {
-		s := t.Symbol(name)
-		if s == nil {
-			continue
-		}
-		for _, sel := range s.Selects {
-			out[sel.Target] = true
-		}
-	}
-	return out
-}
+// must exempt these symbols or they would wrongly prove lines dead. Parse
+// builds the set once; it is shared, so callers must not modify it.
+func (t *Tree) SelectTargets() map[string]bool { return t.selected }

@@ -71,6 +71,8 @@ type Tree struct {
 	choices []*ChoiceGroup
 	// files lists every Kconfig file parsed, in order.
 	files []string
+	// selected holds every symbol some `select` clause targets.
+	selected map[string]bool
 }
 
 // ErrParse wraps Kconfig syntax errors.
@@ -79,7 +81,7 @@ var ErrParse = errors.New("kconfig: parse error")
 // Parse reads the Kconfig hierarchy rooted at rootPath, following `source`
 // directives.
 func Parse(src Source, rootPath string) (*Tree, error) {
-	t := &Tree{symbols: make(map[string]*Symbol)}
+	t := &Tree{symbols: make(map[string]*Symbol), selected: make(map[string]bool)}
 	if err := t.parseFile(src, rootPath, nil, 0); err != nil {
 		return nil, err
 	}
@@ -185,6 +187,7 @@ func (t *Tree) parseFile(src Source, path string, cond Expr, depth int) error {
 				sel.Cond = e
 			}
 			cur.Selects = append(cur.Selects, sel)
+			t.selected[target] = true
 		case "default", "def_bool", "def_tristate":
 			if cur == nil {
 				// A default line directly inside a choice block names the

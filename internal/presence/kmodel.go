@@ -90,9 +90,10 @@ func UndeclaredKnow(kt *kconfig.Tree) func(string) (bool, bool) {
 // values of one option, and a symbol not forced by `select` can only be
 // enabled when its `depends on` allows it. Dependency clauses are expanded
 // one level — symbols they introduce stay unconstrained, which only widens
-// satisfiability and therefore keeps dead proofs sound. selects holds the
-// tree's select targets (kconfig.Tree.SelectTargets).
-func KconfigConstraints(kt *kconfig.Tree, selects map[string]bool, f Formula) Formula {
+// satisfiability and therefore keeps dead proofs sound. Select targets
+// (kconfig.Tree.SelectTargets) get no dependency constraint.
+func KconfigConstraints(kt *kconfig.Tree, f Formula) Formula {
+	selects := kt.SelectTargets()
 	out := True
 	syms := Symbols(f)
 	present := make(map[string]bool, len(syms))
@@ -196,12 +197,12 @@ func DependsFormulas(kt *kconfig.Tree, e kconfig.Expr) (enabled, isYes Formula) 
 // constraints over every symbol that remains. gate may be nil for
 // ungated files (headers). The result feeds Decide: SatNo proves the
 // condition can hold in no configuration of this architecture.
-func ArchFormula(kt *kconfig.Tree, selects map[string]bool, cond Formula, gate *kbuild.Gate) Formula {
+func ArchFormula(kt *kconfig.Tree, cond Formula, gate *kbuild.Gate) Formula {
 	f := cond
 	if gate != nil {
 		f = And(f, GateFormula(kt, gate))
 		f = Replace(f, ModuleRepl(kt, gate))
 	}
 	f = Substitute(f, UndeclaredKnow(kt))
-	return And(f, KconfigConstraints(kt, selects, f))
+	return And(f, KconfigConstraints(kt, f))
 }

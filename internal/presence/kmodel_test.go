@@ -81,14 +81,13 @@ config CAPPED
 	tristate "never above m"
 	depends on m
 `)
-	selects := kt.SelectTargets()
 
 	y := Symbol("CONFIG_CAPPED")
-	if got := Decide(And(y, KconfigConstraints(kt, selects, y))); got != SatNo {
+	if got := Decide(And(y, KconfigConstraints(kt, y))); got != SatNo {
 		t.Errorf("CONFIG_CAPPED=y decide = %v, want SatNo", got)
 	}
 	m := Symbol("CONFIG_CAPPED_MODULE")
-	if got := Decide(And(m, KconfigConstraints(kt, selects, m))); got != SatYes {
+	if got := Decide(And(m, KconfigConstraints(kt, m))); got != SatYes {
 		t.Errorf("CONFIG_CAPPED=m decide = %v, want SatYes", got)
 	}
 }
