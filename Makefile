@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet race lint lint-go fuzz bench-witness bench-workers bench-static bench bench-scaling cache-smoke trace-smoke daemon-smoke audit-smoke follow-smoke obs-smoke eval
+.PHONY: check build test vet race lint lint-go fuzz bench-witness bench-workers bench-static bench-audit bench bench-scaling cache-smoke trace-smoke daemon-smoke audit-smoke follow-smoke obs-smoke eval
 
 check: vet build test race lint lint-go fuzz cache-smoke trace-smoke daemon-smoke audit-smoke follow-smoke obs-smoke bench-scaling
 
@@ -52,9 +52,11 @@ audit-smoke:
 	@GO="$(GO)" sh scripts/audit-smoke.sh
 
 # Short fuzz pass, 10 s per target: malformed #if input must never panic
-# the presence analysis, the preprocessor must take an #if branch exactly
-# when its presence formula says so, a malformed makefile must never
-# panic the Kbuild walk or make Reachable disagree with FileGate, and
+# the presence analysis, the word-parallel SAT engine must answer every
+# formula, witness included, as the one-assignment-at-a-time reference
+# does, the preprocessor must take an #if branch exactly when its
+# presence formula says so, a malformed makefile must never panic the
+# Kbuild walk or make Reachable disagree with FileGate, and
 # copy-on-write trees must answer every query like plain maps, with no
 # write leaking between a clone and its source and with Containing's
 # trigram prefilter answering exactly as strings.Contains over each file,
@@ -67,6 +69,7 @@ audit-smoke:
 # never panic the parser or the valuations.
 fuzz:
 	$(GO) test ./internal/presence/ -run '^$$' -fuzz FuzzPresenceParse -fuzztime 10s
+	$(GO) test ./internal/presence/ -run '^$$' -fuzz FuzzDecide -fuzztime 10s
 	$(GO) test ./internal/presence/ -run '^$$' -fuzz FuzzStaticDynamicAgree -fuzztime 10s
 	$(GO) test ./internal/kbuild/ -run '^$$' -fuzz FuzzParseMakefile -fuzztime 10s
 	$(GO) test ./internal/fstree/ -run '^$$' -fuzz FuzzTreeOps -fuzztime 10s
@@ -77,6 +80,12 @@ fuzz:
 
 bench-witness:
 	$(GO) test ./internal/core/ -run '^$$' -bench BenchmarkWitnessedIn -benchmem
+
+# One whole-tree audit in process (a generated tree at scale 0.25 with 8
+# injected mismatches, one worker), comparable across checkouts without
+# perfbench.
+bench-audit:
+	$(GO) test ./internal/audit/ -run '^$$' -bench BenchmarkAuditRun -benchmem
 
 # Patch-window throughput at 1/2/4/8 workers (speedup tracks CPU cores).
 bench-workers:

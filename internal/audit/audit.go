@@ -136,7 +136,15 @@ const (
 // no Kconfig root or an architecture's Kconfig failed to parse — the audit
 // refuses to report "no findings" when it could not load the symbol
 // tables it checks against.
-func Run(p Params) (*Report, error) {
+func Run(p Params) (*Report, error) { return run(p, checkSymbols) }
+
+// symbolPass is the Kconfig symbol-level pass: findings over the declared
+// symbols, and the number of checks that gave up. Tests substitute a
+// reference that checks every architecture.
+type symbolPass func(arches []*archCtx, declared, ignore map[string]bool, suppressed *int) ([]Finding, int)
+
+// run is Run with the symbol-level pass given.
+func run(p Params, symbols symbolPass) (*Report, error) {
 	t := p.Tree
 	arches, err := discoverArches(p)
 	if err != nil {
@@ -165,7 +173,7 @@ func Run(p Params) (*Report, error) {
 	// Kconfig symbol checks: dead symbols, contradictory chains, select
 	// conflicts. A symbol-level finding must hold in every architecture
 	// that declares the symbol — an option alive somewhere is not dead.
-	symFindings, unknown := checkSymbols(arches, p.Ignore, &rep.Suppressed)
+	symFindings, unknown := symbols(arches, declared, p.Ignore, &rep.Suppressed)
 	rep.Unknown += unknown
 	rep.Findings = append(rep.Findings, symFindings...)
 	p.Rec.Leaf("audit-symbols", time.Duration(rep.Symbols)*symbolCost,

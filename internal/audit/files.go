@@ -36,6 +36,13 @@ func gateRefFindings(t *fstree.Tree, archName string, declared, ignore map[strin
 	return out, len(refs)
 }
 
+// archGate is a file's Kbuild gate in one architecture, nil when the
+// descent chain is broken, once walked.
+type archGate struct {
+	walked bool
+	gate   *kbuild.Gate
+}
+
 // fileScan is one file's audit result.
 type fileScan struct {
 	findings            []Finding
@@ -110,7 +117,26 @@ func scanFile(t *fstree.Tree, path string, arches []*archCtx, declared, ignore m
 			}
 		}
 	}
+	// A file's gate in an architecture is walked at most once, and only
+	// when some block's early break reaches that architecture.
 	gated := strings.HasSuffix(path, ".c") && hasRootMk
+	var gates []archGate
+	gateIn := func(i int) *kbuild.Gate {
+		if !gated {
+			return nil
+		}
+		if gates == nil {
+			gates = make([]archGate, len(archList))
+		}
+		ag := &gates[i]
+		if !ag.walked {
+			ag.walked = true
+			if g, err := kbuild.FileGate(t, path, archList[i].name); err == nil {
+				ag.gate = &g
+			}
+		}
+		return ag.gate
+	}
 	for _, rg := range regs {
 		// Literal #if 0 (and the #else arm of #if 1) is the universal
 		// idiom for commented-out code, not a configuration mismatch.
@@ -135,14 +161,8 @@ func scanFile(t *fstree.Tree, path string, arches []*archCtx, declared, ignore m
 			continue
 		}
 		dead := len(archList) > 0
-		for _, ac := range archList {
-			var gate *kbuild.Gate
-			if gated {
-				if g, err := kbuild.FileGate(t, path, ac.name); err == nil {
-					gate = &g
-				}
-			}
-			switch presence.Decide(presence.ArchFormula(ac.kt, rg.Cond, gate)) {
+		for i, ac := range archList {
+			switch presence.Decide(presence.ArchFormula(ac.kt, rg.Cond, gateIn(i))) {
 			case presence.SatYes:
 				dead = false
 			case presence.SatUnknown:

@@ -14,166 +14,192 @@ import (
 // the check applies (flagged == applicable), because an option usable
 // somewhere is not a tree-wide defect. The representative finding comes
 // from the first flagging architecture in sorted order, so reports are
-// deterministic.
+// deterministic. A check is therefore decided in an architecture only
+// while it can still become a finding: once one applicable architecture
+// does not flag it, no later architecture builds or decides its formula.
 
-// symIssue is one per-arch flag, keyed for cross-arch aggregation.
-type symIssue struct {
-	key string
-	f   Finding
+// selKey identifies a symbol's select check: its index among the symbol's
+// selects and the selected target.
+type selKey struct {
+	index  int
+	target string
 }
 
-type symAgg struct {
-	applicable, flagged int
-	f                   Finding
-	has                 bool
+// keyState is one check of one symbol across the architectures, visited in
+// sorted order. seen is set by the first applicable architecture, dropped
+// by the first that does not flag the check, and f is the first flagging
+// architecture's finding.
+type keyState struct {
+	seen, dropped bool
+	f             Finding
+}
+
+// candidate reports whether the check can still become a finding.
+func (k *keyState) candidate() bool { return !k.dropped }
+
+// flag records an applicable architecture that flags the check.
+func (k *keyState) flag(f Finding) {
+	if !k.seen {
+		k.f = f
+	}
+	k.seen = true
+}
+
+// miss records an applicable architecture that does not flag the check.
+func (k *keyState) miss() { k.seen, k.dropped = true, true }
+
+// selState is the cross-architecture state of one select check.
+type selState struct {
+	key selKey
+	keyState
 }
 
 // checkSymbols runs the dead-symbol, chain-contradiction, and
-// select-vs-depends checks over every architecture and aggregates.
-func checkSymbols(arches []*archCtx, ignore map[string]bool, suppressed *int) ([]Finding, int) {
-	aggs := make(map[string]*symAgg)
-	get := func(key string) *symAgg {
-		a := aggs[key]
-		if a == nil {
-			a = &symAgg{}
-			aggs[key] = a
-		}
-		return a
+// select-vs-depends checks of every declared symbol, in sorted order,
+// across the architectures that declare it. The second result counts the
+// checks that gave up at the enumeration bound.
+func checkSymbols(arches []*archCtx, declared, ignore map[string]bool, suppressed *int) ([]Finding, int) {
+	names := make([]string, 0, len(declared))
+	for name := range declared {
+		names = append(names, name)
 	}
+	sort.Strings(names)
 	unknown := 0
-	for _, ac := range arches {
-		flagged, applicable, unk := checkArchSymbols(ac)
-		unknown += unk
-		for key := range applicable {
-			get(key).applicable++
+	decide := func(f presence.Formula) presence.SatResult {
+		r := presence.Decide(f)
+		if r == presence.SatUnknown {
+			unknown++
 		}
-		for _, si := range flagged {
-			a := get(si.key)
-			a.flagged++
-			if !a.has {
-				a.f = si.f
-				a.has = true
+		return r
+	}
+	var out []Finding
+	var sels []selState
+	for _, name := range names {
+		var dead, chain keyState
+		sels = sels[:0]
+		for _, ac := range arches {
+			kt := ac.kt
+			s := kt.Symbol(name)
+			if s == nil {
+				continue
+			}
+			// Select targets are exempt from dependency-based deadness: a
+			// select raises them regardless of their own depends-on.
+			exempt := kt.SelectTargets()[name] || s.DependsOn == nil
+			ownDead := presence.SatYes
+			if !exempt && (dead.candidate() || chain.candidate()) {
+				enabled, _ := presence.DependsFormulas(kt, s.DependsOn)
+				ownDead = decide(presence.Substitute(enabled, presence.UndeclaredKnow(kt)))
+			}
+			if dead.candidate() {
+				if ownDead == presence.SatNo {
+					dead.flag(Finding{
+						Category: CatDeadSymbol,
+						File:     s.DefFile,
+						Symbol:   name,
+						Detail: fmt.Sprintf("depends on %s is unsatisfiable: no configuration can enable %s",
+							s.DependsOn.String(), name),
+					})
+				} else {
+					dead.miss()
+				}
+			}
+
+			// Chain contradiction: each link satisfiable on its own, but the
+			// transitive closure of depends-on implications is not. Skipped
+			// when the symbol is already dead by its own clause. The chain
+			// formula is built at most once per architecture: every select
+			// check below shares it.
+			var ch presence.Formula
+			if chain.candidate() {
+				if !exempt && ownDead != presence.SatNo {
+					ch = chainFormula(ac, name)
+				}
+				if ch != nil && decide(ch) == presence.SatNo {
+					chain.flag(Finding{
+						Category: CatContradiction,
+						File:     s.DefFile,
+						Symbol:   name,
+						Detail: fmt.Sprintf("depends-on chain of %s is contradictory: the transitive dependency closure admits no configuration",
+							name),
+					})
+				} else {
+					chain.miss()
+				}
+			}
+
+			// Select-vs-depends: the selector is enableable, but every
+			// configuration that enables it violates the selected symbol's
+			// own dependencies (which `select` forcibly ignores).
+			for i, sel := range s.Selects {
+				st := selStateOf(&sels, selKey{i, sel.Target})
+				if !st.candidate() {
+					continue
+				}
+				tgt := kt.Symbol(sel.Target)
+				if tgt == nil || tgt.DependsOn == nil {
+					st.miss()
+					continue
+				}
+				if ch == nil {
+					ch = chainFormula(ac, name)
+				}
+				base := ch
+				if sel.Cond != nil {
+					condEn, _ := presence.DependsFormulas(kt, sel.Cond)
+					base = presence.And(base, presence.Substitute(condEn, presence.UndeclaredKnow(kt)))
+				}
+				// An unreachable selector is reported elsewhere.
+				if decide(base) != presence.SatYes {
+					st.miss()
+					continue
+				}
+				tgtEn, _ := presence.DependsFormulas(kt, tgt.DependsOn)
+				tgtEn = presence.Substitute(tgtEn, presence.UndeclaredKnow(kt))
+				if decide(presence.And(base, tgtEn)) == presence.SatNo {
+					st.flag(Finding{
+						Category: CatContradiction,
+						File:     s.DefFile,
+						Symbol:   name,
+						Detail: fmt.Sprintf("select %s conflicts with its dependency (%s): every configuration enabling %s violates it",
+							sel.Target, tgt.DependsOn.String(), name),
+					})
+				} else {
+					st.miss()
+				}
 			}
 		}
-	}
-	keys := make([]string, 0, len(aggs))
-	for k := range aggs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var out []Finding
-	for _, k := range keys {
-		a := aggs[k]
-		if !a.has || a.flagged != a.applicable {
-			continue
+		out = appendHeld(out, &dead, ignore, suppressed)
+		out = appendHeld(out, &chain, ignore, suppressed)
+		for i := range sels {
+			out = appendHeld(out, &sels[i].keyState, ignore, suppressed)
 		}
-		if ignored(ignore, a.f.Symbol) {
-			*suppressed++
-			continue
-		}
-		out = append(out, a.f)
 	}
 	return out, unknown
 }
 
-// checkArchSymbols runs the three symbol checks in one architecture.
-// applicable records every check key that could have fired here, so the
-// aggregator can demand unanimity across declaring architectures.
-func checkArchSymbols(ac *archCtx) (flagged []symIssue, applicable map[string]bool, unknown int) {
-	kt := ac.kt
-	selects := kt.SelectTargets()
-	applicable = make(map[string]bool)
-	names := kt.Names()
-	sort.Strings(names)
-	for _, name := range names {
-		s := kt.Symbol(name)
-		if s == nil {
-			continue
-		}
-		deadKey := "dead\x00" + name
-		chainKey := "chain\x00" + name
-		applicable[deadKey] = true
-		applicable[chainKey] = true
-
-		// Select targets are exempt from dependency-based deadness: a
-		// select raises them regardless of their own depends-on.
-		ownDead := presence.SatYes
-		if !selects[name] && s.DependsOn != nil {
-			enabled, _ := presence.DependsFormulas(kt, s.DependsOn)
-			enabled = presence.Substitute(enabled, presence.UndeclaredKnow(kt))
-			ownDead = presence.Decide(enabled)
-			switch ownDead {
-			case presence.SatNo:
-				flagged = append(flagged, symIssue{deadKey, Finding{
-					Category: CatDeadSymbol,
-					File:     s.DefFile,
-					Symbol:   name,
-					Detail: fmt.Sprintf("depends on %s is unsatisfiable: no configuration can enable %s",
-						s.DependsOn.String(), name),
-				}})
-			case presence.SatUnknown:
-				unknown++
-			}
-		}
-
-		// Chain contradiction: each link satisfiable on its own, but the
-		// transitive closure of depends-on implications is not. Skipped
-		// when the symbol is already dead by its own clause.
-		if !selects[name] && s.DependsOn != nil && ownDead != presence.SatNo {
-			ch := chainFormula(ac, name)
-			switch presence.Decide(ch) {
-			case presence.SatNo:
-				flagged = append(flagged, symIssue{chainKey, Finding{
-					Category: CatContradiction,
-					File:     s.DefFile,
-					Symbol:   name,
-					Detail: fmt.Sprintf("depends-on chain of %s is contradictory: the transitive dependency closure admits no configuration",
-						name),
-				}})
-			case presence.SatUnknown:
-				unknown++
-			}
-		}
-
-		// Select-vs-depends: the selector is enableable, but every
-		// configuration that enables it violates the selected symbol's
-		// own dependencies (which `select` forcibly ignores).
-		for i, sel := range s.Selects {
-			selKey := fmt.Sprintf("sel\x00%s\x00%d\x00%s", name, i, sel.Target)
-			applicable[selKey] = true
-			tgt := kt.Symbol(sel.Target)
-			if tgt == nil || tgt.DependsOn == nil {
-				continue
-			}
-			base := chainFormula(ac, name)
-			if sel.Cond != nil {
-				condEn, _ := presence.DependsFormulas(kt, sel.Cond)
-				base = presence.And(base, presence.Substitute(condEn, presence.UndeclaredKnow(kt)))
-			}
-			switch presence.Decide(base) {
-			case presence.SatNo:
-				continue // selector itself unreachable: reported elsewhere
-			case presence.SatUnknown:
-				unknown++
-				continue
-			}
-			tgtEn, _ := presence.DependsFormulas(kt, tgt.DependsOn)
-			tgtEn = presence.Substitute(tgtEn, presence.UndeclaredKnow(kt))
-			switch presence.Decide(presence.And(base, tgtEn)) {
-			case presence.SatNo:
-				flagged = append(flagged, symIssue{selKey, Finding{
-					Category: CatContradiction,
-					File:     s.DefFile,
-					Symbol:   name,
-					Detail: fmt.Sprintf("select %s conflicts with its dependency (%s): every configuration enabling %s violates it",
-						sel.Target, tgt.DependsOn.String(), name),
-				}})
-			case presence.SatUnknown:
-				unknown++
-			}
+// selStateOf returns the state of a select check, adding it on first use.
+func selStateOf(sels *[]selState, key selKey) *keyState {
+	for i := range *sels {
+		if (*sels)[i].key == key {
+			return &(*sels)[i].keyState
 		}
 	}
-	return flagged, applicable, unknown
+	*sels = append(*sels, selState{key: key})
+	return &(*sels)[len(*sels)-1].keyState
+}
+
+// appendHeld appends a check's finding when every applicable architecture
+// flagged it, counting it suppressed instead when its symbol is ignored.
+func appendHeld(out []Finding, k *keyState, ignore map[string]bool, suppressed *int) []Finding {
+	if !k.seen || k.dropped {
+		return out
+	}
+	if ignored(ignore, k.f.Symbol) {
+		*suppressed++
+		return out
+	}
+	return append(out, k.f)
 }
 
 // chainFormula conjoins the symbol's enabled-formula with the depends-on
