@@ -137,9 +137,9 @@ trace-smoke:
 	echo "trace-smoke: faulted traces valid and byte-identical across workers and cache states"
 
 # Incremental-follower round trip: stream 20 commits warm at workers 1
-# and 4 plus a cold comparator pass, cmp every report three ways (warmth
-# and concurrency may change cost, never bytes), spot-check one report
-# against the one-shot CLI, and gate steady-state small commits at
+# and 4, cmp every report with the other worker count's and with
+# `jmake -commit ID -json` for the same commit (warmth and concurrency may
+# change cost, never bytes), and gate steady-state small commits at
 # <= 30% of their cold price.
 follow-smoke:
 	@GO="$(GO)" sh scripts/follow-smoke.sh

@@ -16,8 +16,7 @@
 // stream: the session is seeded once, then each commit costs
 // proportional to its diff (per-commit virtual vs effective cost goes to
 // the diagnostic stream). Reports are byte-identical to one-shot checks;
-// -follow-out DIR writes each as DIR/<commit>.json, and -follow-cold
-// switches to a from-scratch session per commit for comparison.
+// -follow-out DIR writes each as DIR/<commit>.json.
 package main
 
 import (
@@ -62,7 +61,6 @@ func run() error {
 		follow        = flag.Bool("follow", false, "follow the commit stream incrementally: one warm session, per-commit cost proportional to the diff")
 		followN       = flag.Int("follow-n", 0, "with -follow, stream the latest N window commits (0 = the -n value)")
 		followOut     = flag.String("follow-out", "", "with -follow, write each report to DIR/<commit>.json (bytes identical to -commit ID -json)")
-		followCold    = flag.Bool("follow-cold", false, "with -follow, rebuild the session from scratch for every commit (slow comparator for verifying byte-identity)")
 		followWorkers = flag.Int("follow-workers", 1, "with -follow, check non-structural batches with this many workers")
 	)
 	flag.Parse()
@@ -88,7 +86,7 @@ func run() error {
 		if nf == 0 {
 			nf = *n
 		}
-		return runFollow(built, opts, nf, *followWorkers, *followCold, *jsonOut, *followOut, diag)
+		return runFollow(built, opts, nf, *followWorkers, *jsonOut, *followOut, diag)
 	}
 
 	if *patchFile != "" {
@@ -173,7 +171,7 @@ func run() error {
 // `jmake -commit ID -json` output for the same commit; the incremental
 // machinery only changes the effective cost, which is printed per commit
 // on the diagnostic stream.
-func runFollow(built *cliopts.Built, opts jmake.Options, n, workers int, cold, jsonOut bool, outDir string, diag io.Writer) error {
+func runFollow(built *cliopts.Built, opts jmake.Options, n, workers int, jsonOut bool, outDir string, diag io.Writer) error {
 	ids := built.WindowIDs
 	if n > 0 && len(ids) > n {
 		ids = ids[len(ids)-n:]
@@ -193,14 +191,9 @@ func runFollow(built *cliopts.Built, opts jmake.Options, n, workers int, cold, j
 			return err
 		}
 	}
-	mode := "warm"
-	if cold {
-		mode = "cold"
-	}
-	fmt.Fprintf(diag, "following %d commits from %.12s (%s session, %d workers)\n\n", len(ids), base, mode, workers)
+	fmt.Fprintf(diag, "following %d commits from %.12s (warm session, %d workers)\n\n", len(ids), base, workers)
 
-	f, err := jmake.NewFollower(built.Hist.Repo, base,
-		jmake.FollowOptions{Checker: opts, Workers: workers, Cold: cold})
+	f, err := jmake.NewFollower(built.Hist.Repo, base, jmake.FollowOptions{Checker: opts, Workers: workers})
 	if err != nil {
 		return err
 	}

@@ -16,7 +16,8 @@
 //	                text exposition with ?format=prometheus or an Accept
 //	                header asking for text/plain
 //	GET  /commits   the workspace's window commit IDs
-//	GET  /audit     whole-tree configuration-mismatch report (cached)
+//	GET  /audit     whole-tree configuration-mismatch report (computed once,
+//	                under an admission slot, then cached)
 //	POST /check     {"commit": ID, "options": {...}, "deadline_ms": N};
 //	                ?trace=tree|chrome|summary (or X-JMake-Trace) returns
 //	                the span tree beside the report, byte-identical to the
@@ -36,9 +37,11 @@
 // serves net/http/pprof on a separate listener.
 //
 // The /check happy path answers the same bytes `jmake -commit ID -json`
-// prints for the same workspace flags. Overload sheds with 429 +
-// Retry-After; deadline expiry answers 504 with a partial report; SIGINT
-// or SIGTERM drains gracefully and flushes the persistent cache tier.
+// prints for the same workspace flags. /check, /batch, /follow and
+// /audit share one admission gate: overload sheds with 429 +
+// Retry-After, a body over 4 MiB answers 413, and deadline expiry
+// answers 504 (with a partial report when it hits mid-check); SIGINT or
+// SIGTERM drains gracefully and flushes the persistent cache tier.
 package main
 
 import (

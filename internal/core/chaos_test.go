@@ -42,7 +42,7 @@ func chaosEdits(t *testing.T) (*fstree.Tree, []textdiff.FileDiff) {
 
 func chaosRun(t *testing.T, tr *fstree.Tree, fds []textdiff.FileDiff, opts Options) *PatchReport {
 	t.Helper()
-	ch, err := NewChecker(tr, vclock.DefaultModel(1), nil, opts)
+	ch, err := NewChecker(tr, vclock.DefaultModel(1), opts)
 	if err != nil {
 		t.Fatalf("NewChecker: %v", err)
 	}

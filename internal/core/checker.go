@@ -68,16 +68,11 @@ func configTraceKey(parts ...string) uint64 {
 }
 
 // NewChecker builds a checker over tree (the snapshot after applying the
-// patch under test) from a fresh Session over the same tree. configs may
-// be shared across checkers to amortize Kconfig evaluation; pass nil for
-// the session's private provider.
-func NewChecker(tree *fstree.Tree, model *vclock.Model, configs *ConfigProvider, opts Options) (*Checker, error) {
+// patch under test) from a fresh Session over the same tree.
+func NewChecker(tree *fstree.Tree, model *vclock.Model, opts Options) (*Checker, error) {
 	s, err := NewSession(tree)
 	if err != nil {
 		return nil, err
-	}
-	if configs != nil {
-		s.configs = configs
 	}
 	return s.Checker(tree, model, opts), nil
 }

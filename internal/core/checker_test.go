@@ -126,7 +126,7 @@ func applyEdit(t *testing.T, tr *fstree.Tree, path, newContent string) textdiff.
 
 func newFixtureChecker(t *testing.T, tr *fstree.Tree) *Checker {
 	t.Helper()
-	ch, err := NewChecker(tr, vclock.DefaultModel(1), nil, Options{})
+	ch, err := NewChecker(tr, vclock.DefaultModel(1), Options{})
 	if err != nil {
 		t.Fatalf("NewChecker: %v", err)
 	}

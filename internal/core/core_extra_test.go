@@ -138,7 +138,7 @@ func TestCheckerGroupSizeOption(t *testing.T) {
 	old2, _ := tr.Read("drivers/net/moddrv.c")
 	fd2 := applyEdit(t, tr, "drivers/net/moddrv.c", strings.Replace(old2, "return 0", "return 3", 1))
 
-	ch, err := NewChecker(tr, vclock.DefaultModel(1), nil, Options{MaxGroupSize: 1})
+	ch, err := NewChecker(tr, vclock.DefaultModel(1), Options{MaxGroupSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestHeaderCandidateLimit(t *testing.T) {
 	oldH, _ := tr.Read("include/linux/netdev.h")
 	fdH := applyEdit(t, tr, "include/linux/netdev.h", strings.Replace(oldH, "<< 4", "<< 7", 1))
 
-	ch, err := NewChecker(tr, vclock.DefaultModel(1), nil, Options{HCandidateLimit: 0})
+	ch, err := NewChecker(tr, vclock.DefaultModel(1), Options{HCandidateLimit: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

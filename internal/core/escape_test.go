@@ -105,7 +105,7 @@ func TestEscapeShapesFromPresence(t *testing.T) {
 			}
 			edited := strings.Replace(orig, anchor, tc.block+anchor, 1)
 			fd := applyEdit(t, tr, "drivers/net/netdrv.c", edited)
-			ch, err := NewChecker(tr, vclock.DefaultModel(1), nil, tc.opts)
+			ch, err := NewChecker(tr, vclock.DefaultModel(1), tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}

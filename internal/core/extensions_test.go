@@ -42,7 +42,7 @@ func TestAllModConfigRecoversModuleEscape(t *testing.T) {
 	// With TryAllModConfig: certified via allmodconfig.
 	tr2 := fixtureTree()
 	fd2 := moduleEscapeEdit(t, tr2)
-	ch, err := NewChecker(tr2, vclock.DefaultModel(1), nil, Options{TryAllModConfig: true})
+	ch, err := NewChecker(tr2, vclock.DefaultModel(1), Options{TryAllModConfig: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestPrescanWarnsBeforeBuilding(t *testing.T) {
 		"#ifdef CONFIG_TOTALLY_UNKNOWN\n\tprintk(\"never\");\n#endif\n\tdrv_read(v);", 1)
 	fd := applyEdit(t, tr, "drivers/net/netdrv.c", edited)
 
-	ch, err := NewChecker(tr, vclock.DefaultModel(1), nil, Options{Prescan: true})
+	ch, err := NewChecker(tr, vclock.DefaultModel(1), Options{Prescan: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestPrescanQuietOnCleanChange(t *testing.T) {
 	fd := applyEdit(t, tr, "drivers/net/netdrv.c",
 		strings.Replace(old, "#define DRV_REG 0x04", "#define DRV_REG 0x0c", 1))
 
-	ch, err := NewChecker(tr, vclock.DefaultModel(1), nil, Options{Prescan: true})
+	ch, err := NewChecker(tr, vclock.DefaultModel(1), Options{Prescan: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestCoverageConfigRecoversIfndef(t *testing.T) {
 	fd := applyEdit(t, tr, "drivers/net/netdrv.c", edited)
 
 	// Baseline: escapes (allyesconfig sets MODDRV=y).
-	chBase, err := NewChecker(tr, vclock.DefaultModel(1), nil, Options{})
+	chBase, err := NewChecker(tr, vclock.DefaultModel(1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestCoverageConfigRecoversIfndef(t *testing.T) {
 	}
 
 	// With coverage configs: certified via a synthesized MODDRV=n config.
-	ch, err := NewChecker(tr, vclock.DefaultModel(1), nil, Options{CoverageConfigs: true})
+	ch, err := NewChecker(tr, vclock.DefaultModel(1), Options{CoverageConfigs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestCoverageConfigRecoversBothBranches(t *testing.T) {
 		"#ifdef CONFIG_MODDRV\n\tprintk(\"with\");\n#else\n\tprintk(\"without\");\n#endif\n\tdrv_read(v);", 1)
 	fd := applyEdit(t, tr, "drivers/net/netdrv.c", edited)
 
-	ch, err := NewChecker(tr, vclock.DefaultModel(1), nil, Options{CoverageConfigs: true})
+	ch, err := NewChecker(tr, vclock.DefaultModel(1), Options{CoverageConfigs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestCoverageConfigCannotFixNeverSet(t *testing.T) {
 		"#ifdef CONFIG_TOTALLY_UNKNOWN\n\tprintk(\"never\");\n#endif\n\tdrv_read(v);", 1)
 	fd := applyEdit(t, tr, "drivers/net/netdrv.c", edited)
 
-	ch, err := NewChecker(tr, vclock.DefaultModel(1), nil, Options{CoverageConfigs: true})
+	ch, err := NewChecker(tr, vclock.DefaultModel(1), Options{CoverageConfigs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestCoverageConfigUnsatisfiableDependency(t *testing.T) {
 		"#ifdef CONFIG_DEBUG_EXTRA\n\tprintk(\"dbg\");\n#endif\n\tdrv_read(v);", 1)
 	fd := applyEdit(t, tr, "drivers/net/netdrv.c", edited)
 
-	ch, err := NewChecker(tr, vclock.DefaultModel(1), nil, Options{CoverageConfigs: true})
+	ch, err := NewChecker(tr, vclock.DefaultModel(1), Options{CoverageConfigs: true})
 	if err != nil {
 		t.Fatal(err)
 	}

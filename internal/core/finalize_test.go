@@ -14,7 +14,7 @@ import (
 // finalize precedence can be tested in isolation.
 func finalizeChecker(t *testing.T, exhausted bool) *Checker {
 	t.Helper()
-	ch, err := NewChecker(fixtureTree(), vclock.DefaultModel(1), nil, Options{})
+	ch, err := NewChecker(fixtureTree(), vclock.DefaultModel(1), Options{})
 	if err != nil {
 		t.Fatalf("NewChecker: %v", err)
 	}

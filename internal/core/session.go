@@ -104,8 +104,7 @@ func (s *Session) SavedEffective() time.Duration {
 	return saved
 }
 
-// RefreshSummary reports what a Refresh invalidated, for follower
-// per-commit statistics.
+// RefreshSummary reports what a Refresh invalidated.
 type RefreshSummary struct {
 	// MetaReloaded is true when Kbuild.meta changed: everything derived
 	// from the base tree was rebuilt.

@@ -80,7 +80,7 @@ func TestCorpusFullPatchPredictionsAgree(t *testing.T) {
 		edit("drivers/gated.c", "int only_as_module;", "int only_as_module2;"),
 		edit("drivers/ifzero.c", "int contradiction;", "int contradiction2;"),
 	}
-	ch, err := NewChecker(tr, vclock.DefaultModel(1), nil, Options{StaticPresence: true})
+	ch, err := NewChecker(tr, vclock.DefaultModel(1), Options{StaticPresence: true})
 	if err != nil {
 		t.Fatalf("NewChecker: %v", err)
 	}

@@ -12,7 +12,7 @@ import (
 
 func checkStatic(t *testing.T, tr *fstree.Tree, fds ...textdiff.FileDiff) *PatchReport {
 	t.Helper()
-	ch, err := NewChecker(tr, vclock.DefaultModel(1), nil, Options{StaticPresence: true})
+	ch, err := NewChecker(tr, vclock.DefaultModel(1), Options{StaticPresence: true})
 	if err != nil {
 		t.Fatalf("NewChecker: %v", err)
 	}
@@ -185,7 +185,7 @@ func TestStaticOrderingPrefersPredictedArch(t *testing.T) {
 		old, _ := tr.Read("drivers/net/armdrv.c")
 		fd := applyEdit(t, tr, "drivers/net/armdrv.c",
 			strings.Replace(old, "\treturn 0;", "\treturn 1;", 1))
-		ch, err := NewChecker(tr, vclock.DefaultModel(1), nil, Options{StaticPresence: static})
+		ch, err := NewChecker(tr, vclock.DefaultModel(1), Options{StaticPresence: static})
 		if err != nil {
 			t.Fatalf("NewChecker: %v", err)
 		}

@@ -33,7 +33,7 @@ func TestCorpusGoldenTrace(t *testing.T) {
 		edit("drivers/ifzero.c", "int contradiction;", "int contradiction2;"),
 	}
 	model := vclock.DefaultModel(1)
-	ch, err := NewChecker(tr, model, nil, Options{StaticPresence: true})
+	ch, err := NewChecker(tr, model, Options{StaticPresence: true})
 	if err != nil {
 		t.Fatalf("NewChecker: %v", err)
 	}

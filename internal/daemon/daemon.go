@@ -6,9 +6,10 @@
 //
 // The robustness surface is the point of the package, not an accessory:
 //
-//   - Bounded admission: at most MaxInFlight checks run concurrently and
-//     at most MaxQueue more may wait; beyond that the server sheds load
-//     with 429 and a Retry-After priced by the virtual-clock backoff
+//   - Bounded admission: /check, /batch, /follow and /audit enter through
+//     one gate (Server.gate). At most MaxInFlight of them run concurrently
+//     and at most MaxQueue more may wait; beyond that the server sheds
+//     load with 429 and a Retry-After priced by the virtual-clock backoff
 //     model, rather than queueing without bound until memory runs out.
 //   - Deadlines: every request carries a deadline (default, capped),
 //     propagated as a context and polled by the checker at stage
@@ -262,16 +263,17 @@ func (s *Server) checkOne(ctx context.Context, id string, chk cliopts.Check) (*j
 }
 
 // nextRequestID mints the deterministic per-request ID: an arrival-order
-// sequence number plus a commit prefix, so operators can correlate a log
-// line, a flight record, and a /tracez lookup without any clock or
+// sequence number plus a commit prefix (a range's first commit; the
+// endpoint when the request names none), so operators can correlate a
+// log line, a flight record, and a /tracez lookup without any clock or
 // randomness in the identity.
-func (s *Server) nextRequestID(commit string) string {
-	tag := commit
+func (s *Server) nextRequestID(commit, endpoint string) string {
+	tag, _, _ := strings.Cut(commit, "..")
 	if len(tag) > 8 {
 		tag = tag[:8]
 	}
 	if tag == "" {
-		tag = "batch"
+		tag = endpoint
 	}
 	return fmt.Sprintf("r%06d-%s", s.reqSeq.Add(1), tag)
 }
@@ -358,10 +360,13 @@ func traceStats(tr *jmake.SessionTrace) (compute, reuse int, summary string) {
 	return compute, reuse, strings.Join(parts, " ")
 }
 
-// admit implements bounded admission. It returns a release func on
-// success; otherwise shed=true with the advised retry delay, or
-// shed=false when ctx expired while queued.
-func (s *Server) admit(ctx context.Context) (release func(), retryAfter time.Duration, shed, ok bool) {
+// admit implements bounded admission for the gate: it waits for an
+// in-flight slot under c's deadline and returns the slot's release func.
+// When the wait queue is full it answers 429 with Retry-After, and when
+// the deadline expires in the queue it answers 504; both return nil.
+func (s *Server) admit(c *call) (release func()) {
+	queued := time.Now()
+	defer func() { s.queueWait.Observe(time.Since(queued).Seconds()) }()
 	release = func() {
 		<-s.sem
 		s.inflight.Add(-1)
@@ -370,7 +375,7 @@ func (s *Server) admit(ctx context.Context) (release func(), retryAfter time.Dur
 	case s.sem <- struct{}{}:
 		s.shedStreak.Store(0)
 		s.inflight.Add(1)
-		return release, 0, false, true
+		return release
 	default:
 	}
 	select {
@@ -379,12 +384,13 @@ func (s *Server) admit(ctx context.Context) (release func(), retryAfter time.Dur
 		// Queue full: shed now. The advised wait grows with the shed
 		// streak on the checker's own capped backoff curve, so a thundering
 		// herd is told to spread out further the longer the overload lasts.
-		streak := int(s.shedStreak.Add(1))
-		if streak > 8 {
-			streak = 8
-		}
+		streak := min(int(s.shedStreak.Add(1)), 8)
+		retryAfter := s.model.Backoff(streak, "admission")
 		s.reg.Counter("requests_shed").Inc()
-		return nil, s.model.Backoff(streak, "admission"), true, false
+		c.w.Header().Set("Retry-After", fmt.Sprintf("%d", int(retryAfter.Seconds()+0.999)))
+		c.fail(http.StatusTooManyRequests, obs.OutcomeShed,
+			fmt.Sprintf("admission queue full; advised retry in %v", retryAfter), "overloaded, retry later")
+		return nil
 	}
 	s.queued.Add(1)
 	defer func() {
@@ -395,10 +401,11 @@ func (s *Server) admit(ctx context.Context) (release func(), retryAfter time.Dur
 	case s.sem <- struct{}{}:
 		s.shedStreak.Store(0)
 		s.inflight.Add(1)
-		return release, 0, false, true
-	case <-ctx.Done():
+		return release
+	case <-c.ctx.Done():
 		s.reg.Counter("requests_expired_queued").Inc()
-		return nil, 0, false, false
+		c.fail(http.StatusGatewayTimeout, obs.OutcomeTimeout, "deadline expired while queued", "deadline expired while queued")
+		return nil
 	}
 }
 
@@ -481,35 +488,40 @@ func (s *Server) handleDebugzRequests(w http.ResponseWriter, r *http.Request) {
 // symbols suppressed so a clean workspace audits to zero findings. The
 // Kconfig parses come from the warm session's shared per-arch cache, and
 // the serialized bytes are audit.Report.JSON — identical to `jmake-lint
-// -audit -json -baseline <manifest baseline>` over the emitted tree.
+// -audit -json -baseline <manifest baseline>` over the emitted tree. The
+// first request computes the report under its admission slot.
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	s.auditOnce.Do(func() {
-		ignore := make(map[string]bool, len(s.built.Manifest.AuditBaseline))
-		for _, sym := range s.built.Manifest.AuditBaseline {
-			ignore[sym] = true
-		}
-		s.mu.RLock()
-		session := s.session
-		s.mu.RUnlock()
-		rep, err := audit.Run(audit.Params{
-			Tree:    s.built.Tree,
-			Ignore:  ignore,
-			Workers: s.cfg.MaxInFlight,
-			Kconfig: session.KconfigProvider(s.built.Tree),
+	s.gate(w, r, "audit", nil, func(c *call) {
+		s.auditOnce.Do(func() {
+			ignore := make(map[string]bool, len(s.built.Manifest.AuditBaseline))
+			for _, sym := range s.built.Manifest.AuditBaseline {
+				ignore[sym] = true
+			}
+			s.mu.RLock()
+			session := s.session
+			s.mu.RUnlock()
+			rep, err := audit.Run(audit.Params{
+				Tree:    s.built.Tree,
+				Ignore:  ignore,
+				Workers: s.cfg.MaxInFlight,
+				Kconfig: session.KconfigProvider(s.built.Tree),
+			})
+			if err != nil {
+				s.auditErr = err
+				return
+			}
+			s.auditJSON, s.auditErr = rep.JSON()
+			s.reg.Counter("daemon_audit_runs").Inc()
 		})
-		if err != nil {
-			s.auditErr = err
+		if s.auditErr != nil {
+			msg := "audit: " + s.auditErr.Error()
+			c.fail(http.StatusInternalServerError, obs.OutcomeError, msg, msg)
 			return
 		}
-		s.auditJSON, s.auditErr = rep.JSON()
-		s.reg.Counter("daemon_audit_runs").Inc()
+		c.rec.Outcome, c.rec.Status = obs.OutcomeOK, http.StatusOK
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(s.auditJSON)
 	})
-	if s.auditErr != nil {
-		http.Error(w, "audit: "+s.auditErr.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(s.auditJSON)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -591,6 +603,20 @@ func (s *Server) handleCommits(w http.ResponseWriter, r *http.Request) {
 	}{s.built.WindowIDs})
 }
 
+// maxBodyBytes bounds every gated request body. The 12,946 IDs of a
+// commit-scale-1.0 window encode in about 0.56 MB.
+const maxBodyBytes = 4 << 20
+
+// request is a gated endpoint's JSON body.
+type request interface {
+	// validate checks the decoded body, and the trace format r asks for
+	// where the endpoint serves one, and names the commit or commit range
+	// the request covers.
+	validate(r *http.Request) (commit string, err error)
+	// deadline is the client's deadline_ms; 0 selects the default.
+	deadline() int64
+}
+
 // checkRequest is the /check request body. Options uses the same JSON
 // schema as the CLI flag struct (cliopts.Check).
 type checkRequest struct {
@@ -601,7 +627,20 @@ type checkRequest struct {
 	// check open to make admission and deadline tests deterministic.
 	DebugPanic  bool  `json:"debug_panic,omitempty"`
 	DebugHoldMS int64 `json:"debug_hold_ms,omitempty"`
+
+	trace string // sidecar format from ?trace= or X-JMake-Trace
 }
+
+func (q *checkRequest) validate(r *http.Request) (string, error) {
+	if q.Commit == "" {
+		return "", errors.New("missing commit")
+	}
+	var err error
+	q.trace, err = traceFormatFor(r)
+	return q.Commit, err
+}
+
+func (q *checkRequest) deadline() int64 { return q.DeadlineMS }
 
 // errorResponse is the JSON error envelope for non-200 answers. Report
 // carries the partial result on 504 — clearly labeled, never a
@@ -613,21 +652,77 @@ type errorResponse struct {
 	Report    json.RawMessage `json:"report,omitempty"`
 }
 
-func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
+// call is one request inside the gate: its response writer, its deadline
+// context, and the record the gate finishes when the endpoint returns.
+// The endpoint sets the record's outcome, status and cause.
+type call struct {
+	w       http.ResponseWriter
+	ctx     context.Context
+	rec     obs.Record
+	arrived time.Time
+}
+
+// fail answers the call with the error envelope and sets the record's
+// outcome, status and cause to match.
+func (c *call) fail(status int, outcome, cause, msg string) {
+	c.rec.Outcome, c.rec.Status, c.rec.Cause = outcome, status, cause
+	writeJSON(c.w, status, errorResponse{Error: msg, RequestID: c.rec.RequestID})
+}
+
+// gate is the one way into /check, /batch, /follow and /audit. It
+// decodes at most maxBodyBytes of the body into req (nil for an endpoint
+// without one), mints the request ID, answers 503 while draining, and
+// admits the request under its deadline (see admit). An admitted request
+// runs serve while it holds its slot. Every exit, the gate's own and
+// serve's, leaves through finishRequest exactly once, so each request ID
+// names one log line, one outcome count and one flight record.
+func (s *Server) gate(w http.ResponseWriter, r *http.Request, endpoint string, req request, serve func(*call)) {
+	c := &call{w: w, arrived: time.Now(), rec: obs.Record{Endpoint: endpoint}}
+	var (
+		status     int
+		bad        error
+		deadlineMS int64
+	)
+	if req != nil {
+		c.rec.Commit, status, bad = decode(w, r, req)
+		deadlineMS = req.deadline()
+	}
+	c.rec.RequestID = s.nextRequestID(c.rec.Commit, endpoint)
+	w.Header().Set("X-JMake-Request-Id", c.rec.RequestID)
+	switch {
+	case bad != nil:
+		c.fail(status, obs.OutcomeError, bad.Error(), bad.Error())
+	case s.draining.Load():
+		c.fail(http.StatusServiceUnavailable, obs.OutcomeDraining, "", "draining")
+	default:
+		var cancel context.CancelFunc
+		c.ctx, cancel = context.WithTimeout(r.Context(), s.deadlineFor(deadlineMS))
+		defer cancel()
+		if release := s.admit(c); release != nil {
+			defer release()
+			serve(c)
+		}
+	}
+	c.rec.WallMillis = wallMillis(c.arrived)
+	s.finishRequest(c.rec)
+}
+
+// decode reads a POSTed body, at most maxBodyBytes of it, into req and
+// validates it. On failure it returns the status to answer with.
+func decode(w http.ResponseWriter, r *http.Request, req request) (commit string, status int, err error) {
 	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
+		return "", http.StatusMethodNotAllowed, errors.New("POST required")
 	}
-	var req checkRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request: " + err.Error()})
-		return
+	err = json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(req)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return "", http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooLarge.Limit)
+	case err != nil:
+		return "", http.StatusBadRequest, fmt.Errorf("bad request: %v", err)
 	}
-	if req.Commit == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing commit"})
-		return
-	}
-	s.serveCheck(w, r, req)
+	commit, err = req.validate(r)
+	return commit, http.StatusBadRequest, err
 }
 
 // finishRequest is the single exit point for request accounting: the
@@ -682,94 +777,64 @@ func fillTraceFields(rec *obs.Record, tr *jmake.SessionTrace, report *jmake.Repo
 	}
 }
 
-func (s *Server) serveCheck(w http.ResponseWriter, r *http.Request, req checkRequest) {
-	rid := s.nextRequestID(req.Commit)
-	w.Header().Set("X-JMake-Request-Id", rid)
-	rec := obs.Record{RequestID: rid, Endpoint: "check", Commit: req.Commit}
-	traceFormat, ferr := traceFormatFor(r)
-	if ferr != nil {
-		rec.Outcome, rec.Status, rec.Cause = obs.OutcomeError, http.StatusBadRequest, ferr.Error()
-		s.finishRequest(rec)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: ferr.Error(), RequestID: rid})
-		return
-	}
-	if s.draining.Load() {
-		rec.Outcome, rec.Status = obs.OutcomeDraining, http.StatusServiceUnavailable
-		s.finishRequest(rec)
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "draining", RequestID: rid})
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(req.DeadlineMS))
-	defer cancel()
+func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
+	var req checkRequest
+	s.gate(w, r, "check", &req, func(c *call) {
+		report, tr, msg := s.checkStep(c.ctx, req, &c.rec)
+		if msg != "" {
+			e := errorResponse{Error: msg, RequestID: c.rec.RequestID}
+			if report != nil {
+				e.Report = marshalReport(report)
+			}
+			writeJSON(w, c.rec.Status, e)
+			return
+		}
+		body := marshalReport(report)
+		if req.trace != "" && tr != nil {
+			// Sidecar: the trace artifact rides beside the report as a JSON
+			// string; the report bytes inside the envelope are the exact
+			// marshalReport bytes, embedded without re-encoding.
+			body = sidecarEnvelope(c.rec.RequestID, req.trace, renderTraceArtifact(tr, req.trace), body)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		w.Write(body)
+	})
+}
 
-	arrived := time.Now()
-	release, retryAfter, shed, ok := s.admit(ctx)
-	s.queueWait.Observe(time.Since(arrived).Seconds())
-	if shed {
-		rec.Outcome, rec.Status = obs.OutcomeShed, http.StatusTooManyRequests
-		rec.Cause = fmt.Sprintf("admission queue full; advised retry in %v", retryAfter)
-		rec.WallMillis = wallMillis(arrived)
-		s.finishRequest(rec)
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(retryAfter.Seconds()+0.999)))
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "overloaded, retry later", RequestID: rid})
-		return
-	}
-	if !ok {
-		rec.Outcome, rec.Status = obs.OutcomeTimeout, http.StatusGatewayTimeout
-		rec.Cause = "deadline expired while queued"
-		rec.WallMillis = wallMillis(arrived)
-		s.finishRequest(rec)
-		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "deadline expired while queued", RequestID: rid})
-		return
-	}
-	defer release()
-
-	start := time.Now()
+// checkStep is the one commit check behind /check and each /batch entry:
+// it runs guardedCheck under ctx, times it, merges its span tree, and
+// classifies the result into rec's outcome, status and cause beside the
+// trace-derived fields. msg is the error the answer carries, "" when the
+// check succeeded; report is nil after a panic or an error, and partial
+// (Interrupted) after a deadline.
+func (s *Server) checkStep(ctx context.Context, req checkRequest, rec *obs.Record) (report *jmake.Report, tr *jmake.SessionTrace, msg string) {
 	s.reg.Counter("requests_total").Inc()
+	start := time.Now()
 	report, span, err := s.guardedCheck(ctx, req)
-	s.latency.Observe(time.Since(start).Seconds())
-	s.reg.Histogram("request_wall_seconds", latencyBuckets, metrics.L("endpoint", "check")).
-		Observe(time.Since(start).Seconds())
-	rec.WallMillis = wallMillis(arrived)
-	tr := jmake.MergeTraces(span)
-	if span == nil {
-		tr = nil
+	wall := time.Since(start).Seconds()
+	s.latency.Observe(wall)
+	s.reg.Histogram("request_wall_seconds", latencyBuckets, metrics.L("endpoint", rec.Endpoint)).Observe(wall)
+	if span != nil {
+		tr = jmake.MergeTraces(span)
 	}
-	fillTraceFields(&rec, tr, report)
+	fillTraceFields(rec, tr, report)
 
 	var pe *panicError
 	switch {
 	case errors.As(err, &pe):
 		rec.Outcome, rec.Status, rec.Cause = obs.OutcomePanic, http.StatusInternalServerError, pe.cause
-		s.finishRequest(rec)
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "internal error (check panicked; state verified)", RequestID: rid})
+		return nil, tr, "internal error (check panicked; state verified)"
 	case err != nil:
 		rec.Outcome, rec.Status, rec.Cause = obs.OutcomeError, http.StatusNotFound, err.Error()
-		s.finishRequest(rec)
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error(), RequestID: rid})
+		return nil, tr, err.Error()
 	case report.Interrupted:
 		s.reg.Counter("requests_timed_out").Inc()
 		rec.Outcome, rec.Status, rec.Cause = obs.OutcomeTimeout, http.StatusGatewayTimeout, "deadline exceeded mid-check"
-		s.finishRequest(rec)
-		writeJSON(w, http.StatusGatewayTimeout, errorResponse{
-			Error:     "deadline exceeded; partial report attached",
-			RequestID: rid,
-			Report:    marshalReport(report),
-		})
-	default:
-		rec.Outcome, rec.Status = obs.OutcomeOK, http.StatusOK
-		s.finishRequest(rec)
-		body := marshalReport(report)
-		if traceFormat != "" && tr != nil {
-			// Sidecar: the trace artifact rides beside the report as a JSON
-			// string; the report bytes inside the envelope are the exact
-			// marshalReport bytes, embedded without re-encoding.
-			body = sidecarEnvelope(rid, traceFormat, renderTraceArtifact(tr, traceFormat), body)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(body)
+		return report, tr, "deadline exceeded; partial report attached"
 	}
+	rec.Outcome, rec.Status = obs.OutcomeOK, http.StatusOK
+	return report, tr, ""
 }
 
 func wallMillis(since time.Time) float64 {
@@ -847,13 +912,31 @@ func (s *Server) verifySession() {
 	}
 }
 
+// commitRange names a multi-commit request in its record.
+func commitRange(ids []string) string {
+	return fmt.Sprintf("%s..%s (%d commits)", ids[0], ids[len(ids)-1], len(ids))
+}
+
 // batchRequest checks several commits under one admission slot and one
 // deadline, answering an array in request order.
 type batchRequest struct {
 	Commits    []string      `json:"commits"`
 	Options    cliopts.Check `json:"options"`
 	DeadlineMS int64         `json:"deadline_ms,omitempty"`
+
+	trace string // sidecar format from ?trace= or X-JMake-Trace
 }
+
+func (q *batchRequest) validate(r *http.Request) (string, error) {
+	if len(q.Commits) == 0 {
+		return "", errors.New("bad request: need commits")
+	}
+	var err error
+	q.trace, err = traceFormatFor(r)
+	return commitRange(q.Commits), err
+}
+
+func (q *batchRequest) deadline() int64 { return q.DeadlineMS }
 
 type batchEntry struct {
 	Commit    string          `json:"commit"`
@@ -866,89 +949,39 @@ type batchEntry struct {
 	Error string `json:"error,omitempty"`
 }
 
+// handleBatch runs each commit through the check step in request order.
+// Each entry is a request of its own: it has its own ID and record,
+// beside the batch's.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	traceFormat, ferr := traceFormatFor(r)
-	if ferr != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: ferr.Error()})
-		return
-	}
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "draining"})
-		return
-	}
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || len(req.Commits) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request: need commits"})
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(req.DeadlineMS))
-	defer cancel()
-	arrived := time.Now()
-	release, retryAfter, shed, ok := s.admit(ctx)
-	s.queueWait.Observe(time.Since(arrived).Seconds())
-	if shed {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(retryAfter.Seconds()+0.999)))
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "overloaded, retry later"})
-		return
-	}
-	if !ok {
-		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "deadline expired while queued"})
-		return
-	}
-	defer release()
-
-	out := make([]batchEntry, 0, len(req.Commits))
-	for _, id := range req.Commits {
-		rid := s.nextRequestID(id)
-		rec := obs.Record{RequestID: rid, Endpoint: "batch", Commit: id}
-		if ctx.Err() != nil {
-			// Deadline mid-batch: remaining commits are reported as canceled,
-			// never silently dropped.
-			rec.Outcome, rec.Status = obs.OutcomeCanceled, http.StatusGatewayTimeout
-			rec.Cause = "deadline exceeded before this commit was checked"
-			s.finishRequest(rec)
-			out = append(out, batchEntry{Commit: id, RequestID: rid, Error: rec.Cause})
-			continue
-		}
-		s.reg.Counter("requests_total").Inc()
-		start := time.Now()
-		report, span, err := s.guardedCheck(ctx, checkRequest{Commit: id, Options: req.Options})
-		s.latency.Observe(time.Since(start).Seconds())
-		s.reg.Histogram("request_wall_seconds", latencyBuckets, metrics.L("endpoint", "batch")).
-			Observe(time.Since(start).Seconds())
-		rec.WallMillis = wallMillis(start)
-		var tr *jmake.SessionTrace
-		if span != nil {
-			tr = jmake.MergeTraces(span)
-		}
-		fillTraceFields(&rec, tr, report)
-		var pe *panicError
-		switch {
-		case errors.As(err, &pe):
-			rec.Outcome, rec.Status, rec.Cause = obs.OutcomePanic, http.StatusInternalServerError, pe.cause
-			out = append(out, batchEntry{Commit: id, RequestID: rid, Error: "internal error (check panicked; state verified)"})
-		case err != nil:
-			rec.Outcome, rec.Status, rec.Cause = obs.OutcomeError, http.StatusNotFound, err.Error()
-			out = append(out, batchEntry{Commit: id, RequestID: rid, Error: err.Error()})
-		case report.Interrupted:
-			s.reg.Counter("requests_timed_out").Inc()
-			rec.Outcome, rec.Status, rec.Cause = obs.OutcomeTimeout, http.StatusGatewayTimeout, "deadline exceeded mid-check"
-			out = append(out, batchEntry{Commit: id, RequestID: rid, Error: "deadline exceeded; partial report attached", Report: marshalReport(report)})
-		default:
-			rec.Outcome, rec.Status = obs.OutcomeOK, http.StatusOK
-			e := batchEntry{Commit: id, RequestID: rid, Report: marshalReport(report)}
-			if traceFormat != "" && tr != nil {
-				e.Trace = string(renderTraceArtifact(tr, traceFormat))
+	s.gate(w, r, "batch", &req, func(c *call) {
+		out := make([]batchEntry, len(req.Commits))
+		for i, id := range req.Commits {
+			rec := obs.Record{RequestID: s.nextRequestID(id, "batch"), Endpoint: "batch", Commit: id}
+			out[i] = batchEntry{Commit: id, RequestID: rec.RequestID}
+			start := time.Now()
+			if c.ctx.Err() != nil {
+				// Deadline mid-batch: remaining commits are reported as
+				// canceled, never silently dropped.
+				rec.Outcome, rec.Status = obs.OutcomeCanceled, http.StatusGatewayTimeout
+				rec.Cause = "deadline exceeded before this commit was checked"
+				out[i].Error = rec.Cause
+			} else {
+				report, tr, msg := s.checkStep(c.ctx, checkRequest{Commit: id, Options: req.Options}, &rec)
+				out[i].Error = msg
+				if report != nil {
+					out[i].Report = marshalReport(report)
+				}
+				if msg == "" && req.trace != "" && tr != nil {
+					out[i].Trace = string(renderTraceArtifact(tr, req.trace))
+				}
 			}
-			out = append(out, e)
+			rec.WallMillis = wallMillis(start)
+			s.finishRequest(rec)
 		}
-		s.finishRequest(rec)
-	}
-	writeJSON(w, http.StatusOK, out)
+		c.rec.Outcome, c.rec.Status = obs.OutcomeOK, http.StatusOK
+		writeJSON(w, http.StatusOK, out)
+	})
 }
 
 // followRequest streams incremental checks of an ordered commit list.
@@ -964,6 +997,15 @@ type followRequest struct {
 	// continue warm.
 	Reseed bool `json:"reseed,omitempty"`
 }
+
+func (q *followRequest) validate(*http.Request) (string, error) {
+	if len(q.Commits) == 0 {
+		return "", errors.New("bad request: need commits")
+	}
+	return commitRange(q.Commits), nil
+}
+
+func (q *followRequest) deadline() int64 { return q.DeadlineMS }
 
 // followEntry is one line of the /follow response: compact JSON, one
 // entry per commit, flushed as produced. Report carries the same bytes
@@ -988,110 +1030,67 @@ type followEntry struct {
 // was in flight, never a silent truncation; a panic discards the
 // follower so the next stream reseeds from scratch.
 func (s *Server) handleFollow(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "draining"})
-		return
-	}
 	var req followRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || len(req.Commits) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request: need commits"})
-		return
-	}
-	rid := s.nextRequestID(req.Commits[0])
-	w.Header().Set("X-JMake-Request-Id", rid)
-	rec := obs.Record{RequestID: rid, Endpoint: "follow",
-		Commit: fmt.Sprintf("%s..%s (%d commits)", req.Commits[0], req.Commits[len(req.Commits)-1], len(req.Commits))}
-	arrived := time.Now()
-	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(req.DeadlineMS))
-	defer cancel()
-	release, retryAfter, shed, ok := s.admit(ctx)
-	s.queueWait.Observe(time.Since(arrived).Seconds())
-	if shed {
-		rec.Outcome, rec.Status = obs.OutcomeShed, http.StatusTooManyRequests
-		rec.Cause = fmt.Sprintf("admission queue full; advised retry in %v", retryAfter)
-		rec.WallMillis = wallMillis(arrived)
-		s.finishRequest(rec)
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(retryAfter.Seconds()+0.999)))
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "overloaded, retry later", RequestID: rid})
-		return
-	}
-	if !ok {
-		rec.Outcome, rec.Status, rec.Cause = obs.OutcomeTimeout, http.StatusGatewayTimeout, "deadline expired while queued"
-		rec.WallMillis = wallMillis(arrived)
-		s.finishRequest(rec)
-		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "deadline expired while queued", RequestID: rid})
-		return
-	}
-	defer release()
+	s.gate(w, r, "follow", &req, func(c *call) {
+		s.followMu.Lock()
+		defer s.followMu.Unlock()
 
-	s.followMu.Lock()
-	defer s.followMu.Unlock()
-
-	f, err := s.followerFor(req)
-	if err != nil {
-		rec.Outcome, rec.Status, rec.Cause = obs.OutcomeError, http.StatusNotFound, err.Error()
-		rec.WallMillis = wallMillis(arrived)
-		s.finishRequest(rec)
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error(), RequestID: rid})
-		return
-	}
-	s.followCtx.Store(&ctx)
-	defer s.followCtx.Store(nil)
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emitted := 0
-	writeEntry := func(e followEntry) {
-		enc.Encode(e)
-		if flusher != nil {
-			flusher.Flush()
+		f, err := s.followerFor(req)
+		if err != nil {
+			c.fail(http.StatusNotFound, obs.OutcomeError, err.Error(), err.Error())
+			return
 		}
-		emitted++
-	}
+		s.followCtx.Store(&c.ctx)
+		defer s.followCtx.Store(nil)
 
-	runErr := func() (err error) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.reg.Counter("daemon_panics").Inc()
-				s.cfg.Logger.Error("recovered follow panic", obs.F("panic", fmt.Sprint(rec)))
-				err = &panicError{cause: fmt.Sprint(rec)}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		flusher, _ := w.(http.Flusher)
+		enc := json.NewEncoder(w)
+		emitted := 0
+		writeEntry := func(e followEntry) {
+			enc.Encode(e)
+			if flusher != nil {
+				flusher.Flush()
 			}
+			emitted++
+		}
+
+		runErr := func() (err error) {
+			defer func() {
+				if p := recover(); p != nil {
+					s.reg.Counter("daemon_panics").Inc()
+					s.cfg.Logger.Error("recovered follow panic", obs.F("panic", fmt.Sprint(p)))
+					err = &panicError{cause: fmt.Sprint(p)}
+				}
+			}()
+			return f.Run(req.Commits, func(st jmake.FollowStep) bool {
+				s.reg.Counter("requests_total").Inc()
+				writeEntry(s.followEntryFor(st))
+				return true
+			})
 		}()
-		return f.Run(req.Commits, func(st jmake.FollowStep) bool {
-			s.reg.Counter("requests_total").Inc()
-			writeEntry(s.followEntryFor(st))
-			return true
-		})
-	}()
-	rec.WallMillis = wallMillis(arrived)
-	if runErr != nil {
-		// The follower's tree or session may be mid-sequence; discard it so
-		// the next stream reseeds rather than continuing from suspect state.
-		s.follower = nil
-		s.reg.Counter("daemon_follower_discards").Inc()
-		msg := "follow stream aborted: " + runErr.Error()
-		for _, id := range req.Commits[min(emitted, len(req.Commits)):] {
-			writeEntry(followEntry{Commit: id, Error: msg})
+		// The stream already committed 200; an abort is reported in-band.
+		c.rec.Outcome, c.rec.Status = obs.OutcomeOK, http.StatusOK
+		if runErr != nil {
+			// The follower's tree or session may be mid-sequence; discard it so
+			// the next stream reseeds rather than continuing from suspect state.
+			s.follower = nil
+			s.reg.Counter("daemon_follower_discards").Inc()
+			msg := "follow stream aborted: " + runErr.Error()
+			for _, id := range req.Commits[min(emitted, len(req.Commits)):] {
+				writeEntry(followEntry{Commit: id, Error: msg})
+			}
+			var pe *panicError
+			if errors.As(runErr, &pe) {
+				c.rec.Outcome, c.rec.Cause = obs.OutcomePanic, pe.cause
+			} else {
+				c.rec.Outcome, c.rec.Cause = obs.OutcomeError, runErr.Error()
+			}
 		}
-		var pe *panicError
-		if errors.As(runErr, &pe) {
-			rec.Outcome, rec.Cause = obs.OutcomePanic, pe.cause
-		} else {
-			rec.Outcome, rec.Cause = obs.OutcomeError, runErr.Error()
-		}
-		rec.Status = http.StatusOK // stream already committed 200; the abort is in-band
-	} else {
-		rec.Outcome, rec.Status = obs.OutcomeOK, http.StatusOK
-	}
-	s.reg.Histogram("request_wall_seconds", latencyBuckets, metrics.L("endpoint", "follow")).
-		Observe(time.Since(arrived).Seconds())
-	s.finishRequest(rec)
+		s.reg.Histogram("request_wall_seconds", latencyBuckets, metrics.L("endpoint", "follow")).
+			Observe(time.Since(c.arrived).Seconds())
+	})
 }
 
 // followerFor returns the resident follower when it can serve the

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -203,6 +205,110 @@ func TestAdmissionShed(t *testing.T) {
 		t.Error("shed not counted")
 	}
 	<-release
+}
+
+// TestGateRecordsEveryExit: each gated endpoint's refusals — draining,
+// shed, a deadline that expires in the queue, an over-limit body — carry
+// a request ID, and each adds exactly one outcome count and one flight
+// record under that ID. /audit never runs the audit while refused.
+func TestGateRecordsEveryExit(t *testing.T) {
+	s, _ := newTestServer(t, func(c *Config) {
+		c.MaxInFlight = 1
+		c.MaxQueue = 1
+		c.DefaultDeadline = 50 * time.Millisecond
+	})
+	h := s.Handler()
+	id := windowTail(s, 1)[0]
+	bodies := map[string]string{
+		"check":  `{"commit":"` + id + `"}`,
+		"batch":  `{"commits":["` + id + `"]}`,
+		"follow": `{"commits":["` + id + `"]}`,
+		"audit":  "",
+	}
+	endpoints := []string{"check", "batch", "follow", "audit"}
+
+	outcomeTotal := func() (n uint64) {
+		for _, smp := range s.Metrics().Snapshot() {
+			if strings.HasPrefix(smp.Name, "requests_outcome_total{") {
+				v, err := strconv.ParseUint(smp.Value, 10, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", smp.Name, err)
+				}
+				n += v
+			}
+		}
+		return n
+	}
+	expect := func(endpoint, body string, status int, outcome string) {
+		t.Helper()
+		series := s.Metrics().Counter("requests_outcome_total",
+			metrics.L("endpoint", endpoint), metrics.L("outcome", outcome))
+		before, total, records := series.Value(), outcomeTotal(), len(s.Flight().Records())
+
+		method := http.MethodPost
+		if endpoint == "audit" {
+			method = http.MethodGet
+		}
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(method, "/"+endpoint, strings.NewReader(body)))
+
+		if rr.Code != status {
+			t.Errorf("/%s: status %d, want %d: %.120q", endpoint, rr.Code, status, rr.Body.String())
+		}
+		rid := rr.Header().Get("X-JMake-Request-Id")
+		if rid == "" {
+			t.Errorf("/%s %d: no X-JMake-Request-Id", endpoint, status)
+		}
+		if status == http.StatusTooManyRequests && rr.Header().Get("Retry-After") == "" {
+			t.Errorf("/%s: 429 without Retry-After", endpoint)
+		}
+		if d := series.Value() - before; d != 1 {
+			t.Errorf("/%s %d: requests_outcome_total{endpoint=%s,outcome=%s} rose by %d, want 1", endpoint, status, endpoint, outcome, d)
+		}
+		if d := outcomeTotal() - total; d != 1 {
+			t.Errorf("/%s %d: requests_outcome_total rose by %d in all, want 1", endpoint, status, d)
+		}
+		if d := len(s.Flight().Records()) - records; d != 1 {
+			t.Errorf("/%s %d: %d flight records added, want 1", endpoint, status, d)
+		}
+		if rec, ok := s.Flight().Find(rid); rid != "" && (!ok || rec.Endpoint != endpoint || rec.Outcome != outcome || rec.Status != status) {
+			t.Errorf("/%s %d: flight record for %q = %+v (found %v)", endpoint, status, rid, rec, ok)
+		}
+	}
+
+	// The only slot and the only queue place are taken: shed.
+	s.sem <- struct{}{}
+	s.queue <- struct{}{}
+	for _, ep := range endpoints {
+		expect(ep, bodies[ep], http.StatusTooManyRequests, obs.OutcomeShed)
+	}
+	// The queue place is free: each request waits out its 50 ms deadline.
+	<-s.queue
+	for _, ep := range endpoints {
+		expect(ep, bodies[ep], http.StatusGatewayTimeout, obs.OutcomeTimeout)
+	}
+	<-s.sem
+	if n := counterValue(s.Metrics(), "daemon_audit_runs"); n != 0 {
+		t.Errorf("audit ran %d times without an admission slot", n)
+	}
+
+	// Over-limit bodies are refused before admission.
+	huge := `{"pad":"` + strings.Repeat("x", 5<<20) + `"}`
+	for _, ep := range []string{"check", "batch", "follow"} {
+		expect(ep, huge, http.StatusRequestEntityTooLarge, obs.OutcomeError)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx, nil); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	for _, ep := range endpoints {
+		expect(ep, bodies[ep], http.StatusServiceUnavailable, obs.OutcomeDraining)
+	}
+	if n := counterValue(s.Metrics(), "daemon_audit_runs"); n != 0 {
+		t.Errorf("audit ran %d times while refused", n)
+	}
 }
 
 // TestDeadline504: a held check with a short deadline must answer 504

@@ -344,3 +344,30 @@ func RelevantDiffs(fds []textdiff.FileDiff) []textdiff.FileDiff {
 	}
 	return kept
 }
+
+// CheckCommit is the one commit check that `jmake -commit`, jmaked and
+// the follower all run: commit id's file diffs, kept by RelevantDiffs,
+// checked over tree (the snapshot after the commit) with the default
+// model seeded by the ID's length, so the report depends only on the
+// commit. When traced it also returns the patch's span tree (nil
+// otherwise); tracing never changes the report. files counts the kept
+// diffs.
+func CheckCommit(session *core.Session, repo *vcs.Repo, tree *fstree.Tree, id string, opts core.Options, traced bool) (report *core.PatchReport, span *trace.Span, files int, err error) {
+	fds, err := repo.FileDiffs(id)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	kept := RelevantDiffs(fds)
+	model := vclock.DefaultModel(uint64(len(id)))
+	checker := session.Checker(tree, model, opts)
+	var rec *trace.Recorder
+	if traced {
+		rec = trace.NewRecorder(trace.KindPatch, model.NewClock(), trace.A("commit", id))
+		checker.SetTrace(rec)
+	}
+	report, err = checker.CheckPatch(id, kept)
+	if err != nil {
+		return nil, nil, len(kept), err
+	}
+	return report, rec.Finish(), len(kept), nil
+}

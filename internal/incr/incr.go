@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 
-	"jmake/internal/ccache"
 	"jmake/internal/core"
 	"jmake/internal/eval"
 	"jmake/internal/fstree"
 	"jmake/internal/sched"
-	"jmake/internal/vclock"
 	"jmake/internal/vcs"
 )
 
@@ -22,11 +20,6 @@ type Options struct {
 	// Run. Structural commits are barriers. 0 or 1 checks sequentially —
 	// the only mode with per-commit effective-cost attribution.
 	Workers int
-	// Cold disables all session reuse: every Step builds a fresh session
-	// over the advanced tree, exactly like `jmake -commit`. This is the
-	// comparator mode the invalidation tests and follow-smoke diff
-	// against; it is deliberately slow.
-	Cold bool
 }
 
 // StepResult is one followed commit's outcome.
@@ -44,10 +37,8 @@ type StepResult struct {
 	// commit changed.
 	Files   int
 	Touched int
-	// Structural marks commits that forced session invalidation; Refresh
-	// details what was dropped.
+	// Structural marks commits that forced session invalidation.
 	Structural bool
-	Refresh    core.RefreshSummary
 	// InvalidatedTUs counts translation units whose transitive inputs the
 	// commit changed (reverse dependency index + cache manifests).
 	InvalidatedTUs int
@@ -77,42 +68,35 @@ type Follower struct {
 
 // NewFollower seeds a follower at baseID: one full checkout, one session
 // build, one index scan — the only tree-proportional work the follower
-// ever does (in warm mode).
+// ever does.
 func NewFollower(repo *vcs.Repo, baseID string, opts Options) (*Follower, error) {
 	tree, err := repo.CheckoutTree(baseID)
 	if err != nil {
 		return nil, fmt.Errorf("incr: %w", err)
 	}
-	f := &Follower{
+	sess, err := core.NewSession(tree)
+	if err != nil {
+		return nil, fmt.Errorf("incr: %w", err)
+	}
+	return &Follower{
 		repo:   repo,
 		tree:   tree,
+		sess:   sess,
 		cursor: baseID,
 		opts:   opts,
 		index:  NewIndex(tree),
-	}
-	if !opts.Cold {
-		sess, err := core.NewSession(tree)
-		if err != nil {
-			return nil, fmt.Errorf("incr: %w", err)
-		}
-		f.sess = sess
-	}
-	return f, nil
+	}, nil
 }
 
 // Cursor returns the commit the follower currently reflects.
 func (f *Follower) Cursor() string { return f.cursor }
 
-// Session exposes the warm session (nil in cold mode), e.g. for ledger
-// inspection in tests.
+// Session exposes the warm session, e.g. for ledger inspection in tests.
 func (f *Follower) Session() *core.Session { return f.sess }
 
 // savedSeconds snapshots every warmth ledger the session carries: the
 // config and set-up ledgers plus the result cache's saved-virtual total.
 func (f *Follower) savedSeconds() float64 {
-	if f.sess == nil {
-		return 0
-	}
 	return f.sess.SavedEffective().Seconds()
 }
 
@@ -158,19 +142,22 @@ func (f *Follower) Step(id string) (StepResult, error) {
 	}
 	var res StepResult
 	for _, cid := range seq {
-		last := cid == id
-		r, err := f.apply(cid, last)
-		if err != nil {
-			return r, err
+		if res, err = f.advance(cid, cid == id); err != nil {
+			break
 		}
-		if last {
-			res = r
-		}
-	}
-	if res.Err == nil {
-		f.check(&res, f.tree, true)
 	}
 	return res, res.Err
+}
+
+// advance applies commit cid and, when check is true, checks it over the
+// live tree with per-commit effective-cost attribution. The error is the
+// apply's; a check failure is in the result's Err.
+func (f *Follower) advance(cid string, check bool) (StepResult, error) {
+	res, err := f.apply(cid, check)
+	if check && err == nil {
+		f.check(&res, f.tree, true)
+	}
+	return res, err
 }
 
 // apply advances tree, index and session past one commit. When stats is
@@ -188,59 +175,27 @@ func (f *Follower) apply(cid string, stats bool) (StepResult, error) {
 		Structural: core.Structural(paths),
 	}
 	if stats {
-		res.InvalidatedTUs = len(f.index.Dependents(f.tree, f.resultCache(), paths))
+		res.InvalidatedTUs = len(f.index.Dependents(f.tree, f.sess.ResultCache(), paths))
 	}
 	f.index.Update(f.tree, paths)
-	if f.sess != nil {
-		sum, err := f.sess.Refresh(f.tree, paths)
-		if err != nil {
-			res.Err = err
-			f.cursor = cid
-			return res, err
-		}
-		res.Refresh = sum
-	}
 	f.cursor = cid
+	if _, err := f.sess.Refresh(f.tree, paths); err != nil {
+		res.Err = err
+		return res, err
+	}
 	return res, nil
 }
 
-// resultCache returns the warm session's result cache (nil in cold mode).
-func (f *Follower) resultCache() *ccache.Cache {
-	if f.sess == nil {
-		return nil
-	}
-	return f.sess.ResultCache()
-}
-
-// check runs the actual JMake check of res.Commit over snapshot, exactly
-// replicating the from-scratch path: FileDiffs → relevance filter →
-// default virtual-clock model seeded by the commit ID's length →
-// CheckPatch. measured enables per-commit effective-cost attribution via
-// ledger deltas (sequential callers only).
+// check runs the one-shot commit check (eval.CheckCommit) of res.Commit
+// over snapshot with the warm session. measured enables per-commit
+// effective-cost attribution via ledger deltas (sequential callers only).
 func (f *Follower) check(res *StepResult, snapshot *fstree.Tree, measured bool) {
-	fds, err := f.repo.FileDiffs(res.Commit)
-	if err != nil {
-		res.Err = err
-		return
-	}
-	kept := eval.RelevantDiffs(fds)
-	res.Files = len(kept)
-
-	sess := f.sess
-	if sess == nil {
-		// Cold comparator: a fresh session per commit, like CheckCommit.
-		sess, err = core.NewSession(snapshot)
-		if err != nil {
-			res.Err = err
-			return
-		}
-	}
 	before := 0.0
 	if measured {
 		before = f.savedSeconds()
 	}
-	checker := sess.Checker(snapshot, vclock.DefaultModel(uint64(len(res.Commit))), f.opts.Checker)
-	report, err := checker.CheckPatch(res.Commit, kept)
+	report, _, files, err := eval.CheckCommit(f.sess, f.repo, snapshot, res.Commit, f.opts.Checker, false)
+	res.Files = files
 	if err != nil {
 		res.Err = err
 		return
@@ -286,7 +241,7 @@ func (f *Follower) Run(ids []string, emit func(StepResult) bool) error {
 		}
 	}
 
-	sequential := f.opts.Workers <= 1 || f.opts.Cold
+	sequential := f.opts.Workers <= 1
 	type pending struct {
 		res  StepResult
 		snap *fstree.Tree
@@ -319,15 +274,11 @@ func (f *Follower) Run(ids []string, emit func(StepResult) bool) error {
 		}
 		checkIt := want[cid]
 		if sequential {
-			res, err := f.apply(cid, checkIt)
-			if checkIt {
-				if err == nil {
-					f.check(&res, f.tree, true)
-				}
-				if !emit(res) {
-					return nil
-				}
-			} else if err != nil {
+			res, err := f.advance(cid, checkIt)
+			switch {
+			case checkIt && !emit(res):
+				return nil
+			case !checkIt && err != nil:
 				return err
 			}
 			continue

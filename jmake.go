@@ -276,7 +276,7 @@ func CheckCommit(repo *Repo, id string, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("jmake: %w", err)
 	}
-	report, _, err := checkCommit(session, repo, tree, id, opts, false)
+	report, _, _, err := eval.CheckCommit(session, repo, tree, id, opts, false)
 	return report, err
 }
 
@@ -288,31 +288,8 @@ func CheckCommitWith(session *Session, repo *Repo, id string, opts Options) (*Re
 	if err != nil {
 		return nil, fmt.Errorf("jmake: %w", err)
 	}
-	report, _, err := checkCommit(session, repo, tree, id, opts, false)
+	report, _, _, err := eval.CheckCommit(session, repo, tree, id, opts, false)
 	return report, err
-}
-
-// checkCommit checks commit id over its post-commit snapshot tree with
-// the model seeded by the ID's length, recording the patch's span tree
-// when traced (the span is nil otherwise). Tracing never changes the
-// report.
-func checkCommit(session *Session, repo *Repo, tree *Tree, id string, opts Options, traced bool) (*Report, *TraceSpan, error) {
-	fds, err := repo.FileDiffs(id)
-	if err != nil {
-		return nil, nil, fmt.Errorf("jmake: %w", err)
-	}
-	model := vclock.DefaultModel(uint64(len(id)))
-	checker := session.Checker(tree, model, opts)
-	var rec *trace.Recorder
-	if traced {
-		rec = trace.NewRecorder(trace.KindPatch, model.NewClock(), trace.A("commit", id))
-		checker.SetTrace(rec)
-	}
-	report, err := checker.CheckPatch(id, eval.RelevantDiffs(fds))
-	if err != nil {
-		return nil, nil, err
-	}
-	return report, rec.Finish(), nil
 }
 
 // Tracing types (internal/trace): spans are stamped with virtual times
@@ -334,7 +311,8 @@ func CheckCommitTraced(session *Session, repo *Repo, id string, opts Options) (*
 	if err != nil {
 		return nil, nil, fmt.Errorf("jmake: %w", err)
 	}
-	return checkCommit(session, repo, tree, id, opts, true)
+	report, span, _, err := eval.CheckCommit(session, repo, tree, id, opts, true)
+	return report, span, err
 }
 
 // MergeTraces assembles per-patch span trees — in checking order, which

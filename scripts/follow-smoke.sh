@@ -4,13 +4,11 @@
 #
 #   1. Stream the latest 20 window commits through one warm follower at
 #      workers 1 and at workers 4, writing each report to a file.
-#   2. Stream the same commits in -follow-cold mode (a from-scratch
-#      session per commit — the one-shot comparator).
-#   3. cmp every report three ways: warm/1 == warm/4 == cold. Warmth and
-#      concurrency may change cost, never a byte.
-#   4. Spot-check one commit against a literal `jmake -commit ID -json`
-#      one-shot run — the follower is not allowed its own serialization.
-#   5. Gate the economics: replay the bench window through a warm
+#   2. cmp every streamed report with the workers 4 one and with a literal
+#      `jmake -commit ID -json` run of the same commit: warmth and
+#      concurrency may change cost, never a byte, and the follower is not
+#      allowed its own serialization.
+#   3. Gate the economics: replay the bench window through a warm
 #      follower and require steady-state small commits (<= 2 files, past
 #      warm-up) to average <= 30% of their cold price.
 set -eu
@@ -29,23 +27,18 @@ echo "follow-smoke: streaming $N commits (warm, workers 1)..."
 "$dir/jmake" $WS -follow -follow-n $N -follow-workers 1 -follow-out "$dir/w1" >"$dir/w1.log"
 echo "follow-smoke: streaming $N commits (warm, workers 4)..."
 "$dir/jmake" $WS -follow -follow-n $N -follow-workers 4 -follow-out "$dir/w4" >/dev/null
-echo "follow-smoke: streaming $N commits (cold comparator)..."
-"$dir/jmake" $WS -follow -follow-n $N -follow-cold -follow-out "$dir/cold" >/dev/null
 
+echo "follow-smoke: checking each streamed commit one-shot..."
 count=0
 for f in "$dir/w1"/*.json; do
     b=$(basename "$f")
     cmp "$f" "$dir/w4/$b"
-    cmp "$f" "$dir/cold/$b"
+    "$dir/jmake" $WS -commit "${b%.json}" -json >"$dir/oneshot.json" 2>/dev/null
+    cmp "$f" "$dir/oneshot.json"
     count=$((count + 1))
 done
 [ "$count" -ge 1 ] || { echo "follow-smoke: no reports were streamed" >&2; exit 1; }
-echo "follow-smoke: $count reports byte-identical across warm/1, warm/4 and cold"
-
-id=$(ls "$dir/w1" | head -1 | sed 's/\.json$//')
-"$dir/jmake" $WS -commit "$id" -json >"$dir/oneshot.json" 2>/dev/null
-cmp "$dir/w1/$id.json" "$dir/oneshot.json"
-echo "follow-smoke: streamed report for $id matches the one-shot CLI byte for byte"
+echo "follow-smoke: $count reports byte-identical across warm/1, warm/4 and the one-shot CLI"
 
 echo "follow-smoke: gating small-commit economics..."
 "$dir/jmake-bench" -reactive-check $WS -reactive-commits 40 -max-ratio 0.30
