@@ -65,8 +65,11 @@ audit-smoke:
 # never panic, must scan .i text as a plain line split would and must
 # find the definitions a forward scan per call finds, the patch parser
 # must never panic, never return hunks without both paths and must
-# round-trip a Myers diff, and a Kconfig root sourcing a second file must
-# never panic the parser or the valuations.
+# round-trip a Myers diff, a Kconfig root sourcing a second file must
+# never panic the parser or the valuations and must link through a shared
+# parser, at top level and inside `if X`, exactly as a fresh parse, and
+# comment stripping must return what the byte-copying reference returns,
+# starting inside and outside a block comment.
 fuzz:
 	$(GO) test ./internal/presence/ -run '^$$' -fuzz FuzzPresenceParse -fuzztime 10s
 	$(GO) test ./internal/presence/ -run '^$$' -fuzz FuzzDecide -fuzztime 10s
@@ -77,15 +80,18 @@ fuzz:
 	$(GO) test ./internal/cc/ -run '^$$' -fuzz FuzzCompile -fuzztime 10s
 	$(GO) test ./internal/textdiff/ -run '^$$' -fuzz FuzzParsePatch -fuzztime 10s
 	$(GO) test ./internal/kconfig/ -run '^$$' -fuzz FuzzKconfigParse -fuzztime 10s
+	$(GO) test ./internal/csrc/ -run '^$$' -fuzz FuzzStripComments -fuzztime 10s
 
 bench-witness:
 	$(GO) test ./internal/core/ -run '^$$' -bench BenchmarkWitnessedIn -benchmem
 
 # One whole-tree audit in process (a generated tree at scale 0.25 with 8
 # injected mismatches, one worker), comparable across checkouts without
-# perfbench.
+# perfbench. GOMAXPROCS 1 puts the collector's work on the timed thread,
+# so ns/op counts the CPU time perfbench's cpu_ms_per_op counts; five
+# runs show the spread.
 bench-audit:
-	$(GO) test ./internal/audit/ -run '^$$' -bench BenchmarkAuditRun -benchmem
+	$(GO) test ./internal/audit/ -run '^$$' -bench BenchmarkAuditRun -benchmem -cpu 1 -count 5
 
 # Patch-window throughput at 1/2/4/8 workers (speedup tracks CPU cores).
 bench-workers:

@@ -87,6 +87,10 @@ func run() (int, error) {
 	// build pipeline uses, so the summary table reads from the registry —
 	// never from a second, hand-maintained counter pile.
 	reg := metrics.NewRegistry()
+	var gates *kbuild.MakefileCache
+	if tree.Exists("Makefile") {
+		gates = kbuild.NewMakefileCache(tree)
+	}
 	var results []fileResult
 	for _, p := range paths {
 		p = fstree.Clean(p)
@@ -94,7 +98,7 @@ func run() (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("%s: %w", p, err)
 		}
-		results = append(results, analyzeOne(tree, p, content, *arch, reg))
+		results = append(results, analyzeOne(gates, p, content, *arch, reg))
 	}
 
 	if *jsonOut {
@@ -209,12 +213,14 @@ type lineCond struct {
 	Cond string `json:"cond"`
 }
 
-func analyzeOne(tree *fstree.Tree, p, content, arch string, reg *metrics.Registry) fileResult {
+// analyzeOne reports one file. gates walks the Kbuild descent of .c files;
+// nil when the tree has no root Makefile, so no file is gated.
+func analyzeOne(gates *kbuild.MakefileCache, p, content, arch string, reg *metrics.Registry) fileResult {
 	byArch := metrics.L("arch", arch)
 	reg.Counter("lint_files", byArch).Inc()
 	r := fileResult{File: p}
-	if strings.HasSuffix(p, ".c") && tree.Exists("Makefile") {
-		if gate, err := kbuild.FileGate(tree, p, arch); err == nil {
+	if strings.HasSuffix(p, ".c") && gates != nil {
+		if gate, err := gates.FileGate(p, arch); err == nil {
 			r.Gate = gate.Vars
 			r.GateModule = gate.OwnModule
 			if len(gate.Vars) > 0 {

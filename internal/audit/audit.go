@@ -25,6 +25,7 @@ import (
 	"jmake/internal/kbuild"
 	"jmake/internal/kconfig"
 	"jmake/internal/metrics"
+	"jmake/internal/presence"
 	"jmake/internal/sched"
 	"jmake/internal/trace"
 )
@@ -113,15 +114,18 @@ type Params struct {
 	// Rec receives deterministic virtual-time audit spans when non-nil.
 	Rec *trace.Recorder
 	// Kconfig overrides how an architecture's tree is parsed; the daemon
-	// passes the warm Session's memoized provider. nil parses fresh.
+	// passes the warm Session's memoized provider. nil links every
+	// architecture through one fresh kconfig.Parser.
 	Kconfig func(archName, rootPath string) (*kconfig.Tree, error)
 }
 
-// archCtx is one architecture's Kconfig knowledge.
+// archCtx is one architecture's Kconfig knowledge: its tree, and the
+// formulas derived from it, memoized for the run.
 type archCtx struct {
-	name string
-	root string
-	kt   *kconfig.Tree
+	name  string
+	root  string
+	kt    *kconfig.Tree
+	model *presence.Model
 }
 
 // Deterministic virtual-time prices for trace spans: proportional to work
@@ -197,13 +201,16 @@ func run(p Params, symbols symbolPass) (*Report, error) {
 	}
 	sort.Strings(files)
 	rep.Files = len(files)
-	hasRootMk := t.Exists("Makefile")
+	sc := scanCtx{t: t, arches: arches, declared: declared, ignore: p.Ignore}
+	if t.Exists("Makefile") {
+		sc.gates = kbuild.NewMakefileCache(t)
+	}
 	workers := p.Workers
 	if workers < 1 {
 		workers = 1
 	}
 	scans, _ := sched.Collect(len(files), sched.Options{Workers: workers}, func(i int) fileScan {
-		return scanFile(t, files[i], arches, declared, p.Ignore, hasRootMk)
+		return sc.scanFile(files[i])
 	})
 	for _, fs := range scans {
 		rep.Findings = append(rep.Findings, fs.findings...)
@@ -256,8 +263,11 @@ func discoverArches(p Params) ([]*archCtx, error) {
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	parse := p.Kconfig
 	if parse == nil {
+		// One parser for every architecture: the files they all source
+		// are parsed once.
+		kp := kconfig.NewParser()
 		parse = func(_, root string) (*kconfig.Tree, error) {
-			return kconfig.Parse(kbuild.TreeSource{T: t}, root)
+			return kp.Parse(kbuild.TreeSource{T: t}, root)
 		}
 	}
 	for _, ac := range out {
@@ -265,7 +275,7 @@ func discoverArches(p Params) ([]*archCtx, error) {
 		if err != nil {
 			return nil, fmt.Errorf("audit: parsing %s: %w", ac.root, err)
 		}
-		ac.kt = kt
+		ac.kt, ac.model = kt, presence.NewModel(kt)
 	}
 	return out, nil
 }

@@ -49,13 +49,24 @@ type fileScan struct {
 	unknown, suppressed int
 }
 
+// scanCtx is what every file scan of one audit reads.
+type scanCtx struct {
+	t        *fstree.Tree
+	arches   []*archCtx
+	declared map[string]bool
+	ignore   map[string]bool
+	// gates walks the Kbuild descent of .c files; nil when the tree has no
+	// root Makefile, so no file is gated.
+	gates *kbuild.MakefileCache
+}
+
 // scanFile audits one .c/.h file: CONFIG_* references in its conditionals
 // against the declared-symbol union, and each conditional block's presence
 // formula against every applicable architecture.
-func scanFile(t *fstree.Tree, path string, arches []*archCtx, declared, ignore map[string]bool,
-	hasRootMk bool) fileScan {
+func (sc *scanCtx) scanFile(path string) fileScan {
+	arches, declared, ignore := sc.arches, sc.declared, sc.ignore
 	var fs fileScan
-	content, err := t.Read(path)
+	content, err := sc.t.Read(path)
 	if err != nil {
 		return fs
 	}
@@ -119,7 +130,7 @@ func scanFile(t *fstree.Tree, path string, arches []*archCtx, declared, ignore m
 	}
 	// A file's gate in an architecture is walked at most once, and only
 	// when some block's early break reaches that architecture.
-	gated := strings.HasSuffix(path, ".c") && hasRootMk
+	gated := strings.HasSuffix(path, ".c") && sc.gates != nil
 	var gates []archGate
 	gateIn := func(i int) *kbuild.Gate {
 		if !gated {
@@ -131,7 +142,7 @@ func scanFile(t *fstree.Tree, path string, arches []*archCtx, declared, ignore m
 		ag := &gates[i]
 		if !ag.walked {
 			ag.walked = true
-			if g, err := kbuild.FileGate(t, path, archList[i].name); err == nil {
+			if g, err := sc.gates.FileGate(path, archList[i].name); err == nil {
 				ag.gate = &g
 			}
 		}
@@ -162,7 +173,7 @@ func scanFile(t *fstree.Tree, path string, arches []*archCtx, declared, ignore m
 		}
 		dead := len(archList) > 0
 		for i, ac := range archList {
-			switch presence.Decide(presence.ArchFormula(ac.kt, rg.Cond, gateIn(i))) {
+			switch presence.Decide(ac.model.ArchFormula(rg.Cond, gateIn(i))) {
 			case presence.SatYes:
 				dead = false
 			case presence.SatUnknown:

@@ -3,13 +3,11 @@ package audit
 import (
 	"bytes"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"jmake/internal/fstree"
-	"jmake/internal/kernelgen"
 	"jmake/internal/presence"
 )
 
@@ -249,38 +247,13 @@ config CHB
 // mismatches, with and without their audit baseline, and on the
 // fixture corpora, the report JSON is byte-identical.
 func TestCandidateChecksMatchReference(t *testing.T) {
-	type corpus struct {
-		name   string
-		tree   *fstree.Tree
-		ignore map[string]bool
-	}
 	corpora := []corpus{
 		{name: "fixture", tree: fixtureTree()},
 		{name: "multi-arch", tree: multiArchTree()},
 		{name: "multi-arch-baseline", tree: multiArchTree(), ignore: map[string]bool{"TWICE": true}},
+		examplesAudit(t),
 	}
-	if tree, err := fstree.LoadDir(filepath.Join("..", "..", "examples", "audit", "src")); err == nil {
-		corpora = append(corpora, corpus{name: "examples/audit", tree: tree})
-	} else {
-		t.Fatalf("corpus missing: %v", err)
-	}
-	for seed := int64(1); seed <= 3; seed++ {
-		for _, scale := range []float64{0.12, 0.25} {
-			tree, man, err := kernelgen.Generate(kernelgen.Params{Seed: seed, Scale: scale})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := kernelgen.InjectMismatches(tree, seed, 12); err != nil {
-				t.Fatal(err)
-			}
-			base := make(map[string]bool)
-			for _, s := range man.AuditBaseline {
-				base[s] = true
-			}
-			name := fmt.Sprintf("seed%d-scale%.2f", seed, scale)
-			corpora = append(corpora, corpus{name: name, tree: tree}, corpus{name: name + "-baseline", tree: tree, ignore: base})
-		}
-	}
+	corpora = append(corpora, generatedCorpora(t)...)
 	for _, c := range corpora {
 		got := reportJSON(t, c.tree, c.ignore, checkSymbols)
 		want := reportJSON(t, c.tree, c.ignore, referenceCheckSymbols)

@@ -78,7 +78,7 @@ func checkSymbols(arches []*archCtx, declared, ignore map[string]bool, suppresse
 		var dead, chain keyState
 		sels = sels[:0]
 		for _, ac := range arches {
-			kt := ac.kt
+			kt, m := ac.kt, ac.model
 			s := kt.Symbol(name)
 			if s == nil {
 				continue
@@ -88,7 +88,7 @@ func checkSymbols(arches []*archCtx, declared, ignore map[string]bool, suppresse
 			exempt := kt.SelectTargets()[name] || s.DependsOn == nil
 			ownDead := presence.SatYes
 			if !exempt && (dead.candidate() || chain.candidate()) {
-				enabled, _ := presence.DependsFormulas(kt, s.DependsOn)
+				enabled, _ := m.DependsOf(name)
 				ownDead = decide(presence.Substitute(enabled, presence.UndeclaredKnow(kt)))
 			}
 			if dead.candidate() {
@@ -154,7 +154,7 @@ func checkSymbols(arches []*archCtx, declared, ignore map[string]bool, suppresse
 					st.miss()
 					continue
 				}
-				tgtEn, _ := presence.DependsFormulas(kt, tgt.DependsOn)
+				tgtEn, _ := m.DependsOf(sel.Target)
 				tgtEn = presence.Substitute(tgtEn, presence.UndeclaredKnow(kt))
 				if decide(presence.And(base, tgtEn)) == presence.SatNo {
 					st.flag(Finding{
@@ -209,7 +209,7 @@ func appendHeld(out []Finding, k *keyState, ignore map[string]bool, suppressed *
 // them past their depends-on). Symbols beyond the depth bound stay free,
 // which only widens satisfiability and keeps SatNo proofs sound.
 func chainFormula(ac *archCtx, name string) presence.Formula {
-	kt := ac.kt
+	kt, m := ac.kt, ac.model
 	selects := kt.SelectTargets()
 	f := presence.SymbolEnabled(kt, name)
 	done := make(map[string]bool)
@@ -233,7 +233,7 @@ func chainFormula(ac *archCtx, name string) presence.Formula {
 			if s == nil || selects[root] || s.DependsOn == nil {
 				continue
 			}
-			enabled, isYes := presence.DependsFormulas(kt, s.DependsOn)
+			enabled, isYes := m.DependsOf(root)
 			yVar := presence.Symbol("CONFIG_" + root)
 			mVar := presence.Symbol("CONFIG_" + root + "_MODULE")
 			switch {

@@ -37,6 +37,10 @@ type Checker struct {
 	// Kconfig knowledge, set-up marks and saved-effective-time ledgers.
 	warm *warmState
 
+	// gates memoizes the Kbuild descent of the checker's tree for the
+	// static pre-pass, created on first use.
+	gates *kbuild.MakefileCache
+
 	// run holds the per-patch resilience state (fault injector, budget
 	// ledger, circuit breaker); CheckPatch resets it for every patch.
 	run *runState

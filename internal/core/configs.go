@@ -33,6 +33,9 @@ type ConfigProvider struct {
 	mu     sync.Mutex
 	trees  map[string]*treeEntry
 	values map[string]*valueEntry
+	// parser parses every architecture's tree, so the files they all
+	// source are parsed once per content. Its memo is bounded.
+	parser *kconfig.Parser
 	// Counter handles into the owning metrics registry — the registry is
 	// the single home for these numbers; Stats() is a view over it.
 	hits   *metrics.Counter
@@ -80,6 +83,7 @@ func NewConfigProviderIn(reg *metrics.Registry) *ConfigProvider {
 	return &ConfigProvider{
 		trees:  make(map[string]*treeEntry),
 		values: make(map[string]*valueEntry),
+		parser: kconfig.NewParser(),
 		hits:   reg.Counter("config_cache_hits"),
 		misses: reg.Counter("config_cache_misses"),
 	}
@@ -104,7 +108,7 @@ func (p *ConfigProvider) treeEntryFor(arch string) *treeEntry {
 func (p *ConfigProvider) KconfigTree(t *fstree.Tree, arch *kbuild.Arch) (*kconfig.Tree, error) {
 	e := p.treeEntryFor(arch.Name)
 	e.once.Do(func() {
-		kt, err := kconfig.Parse(kbuild.TreeSource{T: t}, arch.KconfigRoot)
+		kt, err := p.parser.Parse(kbuild.TreeSource{T: t}, arch.KconfigRoot)
 		if err != nil {
 			e.err = fmt.Errorf("core: parsing %s: %w", arch.KconfigRoot, err)
 			// Do not cache failures: drop the slot so a later request

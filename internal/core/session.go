@@ -259,14 +259,15 @@ func (s *Session) Checker(tree *fstree.Tree, model *vclock.Model, opts Options) 
 // the loader signature the whole-tree audit takes (audit.Params.Kconfig):
 // architectures the session already discovered are served from the warm
 // parse, anything else — e.g. a fixture corpus's pseudo-architecture —
-// parses fresh from base. Kconfig inputs are window-invariant (see the
+// is linked from base through the session's parser, which parses each
+// file content once. Kconfig inputs are window-invariant (see the
 // Session doc), so serving a cached parse for any window snapshot is sound.
 func (s *Session) KconfigProvider(base *fstree.Tree) func(archName, rootPath string) (*kconfig.Tree, error) {
 	return func(archName, rootPath string) (*kconfig.Tree, error) {
 		if a := s.arches[archName]; a != nil && a.KconfigRoot == rootPath {
 			return s.configs.KconfigTree(base, a)
 		}
-		return kconfig.Parse(kbuild.TreeSource{T: base}, rootPath)
+		return s.configs.parser.Parse(kbuild.TreeSource{T: base}, rootPath)
 	}
 }
 

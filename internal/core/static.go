@@ -150,6 +150,9 @@ func (c *Checker) headerArches(path string) []string {
 // archGates resolves each architecture's Kconfig tree from the session's
 // parse cache and (for gated .c files) the file's Kbuild gate under it.
 func (c *Checker) archGates(path string, archNames []string, gated bool) []archGate {
+	if gated && c.gates == nil {
+		c.gates = kbuild.NewMakefileCache(c.tree)
+	}
 	var out []archGate
 	for _, an := range archNames {
 		arch := c.arches[an]
@@ -159,7 +162,7 @@ func (c *Checker) archGates(path string, archNames []string, gated bool) []archG
 		ag := archGate{arch: arch}
 		ag.kt, _ = c.configs.KconfigTree(c.tree, arch) // a failed parse leaves kt nil: alive
 		if gated {
-			if g, err := kbuild.FileGate(c.tree, path, an); err == nil {
+			if g, err := c.gates.FileGate(path, an); err == nil {
 				ag.gate = &g
 			}
 		}

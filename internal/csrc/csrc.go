@@ -236,6 +236,11 @@ func appendBranch(prior []CondBranch, kind CondKind, arg string) []CondBranch {
 // that closes an initial comment (or -1), and whether a block comment is
 // still open at end of line. String literals are respected.
 func stripComments(text string, startInComment bool) (code string, endCol int, stillIn bool) {
+	// Every comment opens with '/'. Quoted text is copied verbatim, so a
+	// line outside a comment without one comes back as it is.
+	if !startInComment && strings.IndexByte(text, '/') < 0 {
+		return text, -1, false
+	}
 	var b strings.Builder
 	endCol = -1
 	in := startInComment

@@ -9,7 +9,11 @@
 // under a configuration; FileGate collects its variables. Every makefile
 // read goes through LoadMakefile, whose parses are memoized by path and
 // content, so per-patch clones of a tree share them and an edited makefile
-// is parsed afresh. Reachability itself is evaluated on every call.
+// is parsed afresh. Reachability itself is evaluated on every call. A
+// MakefileCache memoizes the walk's descent to each directory of one tree
+// snapshot, per architecture, so a caller gating many files of that
+// snapshot (the audit, the static pre-pass, jmake-lint) loads each
+// makefile once per architecture.
 package kbuild
 
 import (

@@ -3,6 +3,11 @@
 // `depends on` and `select` with conditions, defaults, `source` inclusion,
 // and `if` blocks — plus the configuration strategies JMake relies on:
 // allyesconfig, allmodconfig, and defconfig resolution (paper §II-B).
+//
+// A Parser parses each file content once into an immutable record and
+// links trees from the records, so the architectures of one source tree,
+// which source the same shared files, share those parses and the symbols
+// declared in them. Parse is a fresh Parser's Parse.
 package kconfig
 
 import "fmt"

@@ -11,13 +11,31 @@ import (
 // FuzzKconfigParse parses a root Kconfig file that sources a second one,
 // both arbitrary text (a patch can change any Kconfig file). Parse must
 // never panic and must wrap ErrParse when it fails, and the valuations
-// and select analysis of a parsed tree must never panic.
+// and select analysis of a parsed tree must never panic. One Parser then
+// links the pair sourced at top level, sourced inside `if X`, and at top
+// level again: each tree, or error, must equal a fresh parse's.
 func FuzzKconfigParse(f *testing.F) {
 	for _, s := range kconfigSeeds(f) {
 		f.Add(s[0], s[1])
 	}
 	f.Fuzz(func(t *testing.T, root, sourced string) {
-		src := mapSource{"Kconfig": root + "\nsource \"sub/Kconfig\"\n", "sub/Kconfig": sourced}
+		src := mapSource{
+			"Kconfig":     root + "\nsource \"sub/Kconfig\"\n",
+			"sub/Kconfig": sourced,
+			"top":         "source \"Kconfig\"\n",
+			"top-if":      "if X\nsource \"Kconfig\"\nendif\n",
+		}
+		p := NewParser()
+		for _, rootPath := range []string{"top", "top-if", "top"} {
+			got, gerr := p.Parse(src, rootPath)
+			want, werr := Parse(src, rootPath)
+			if errText(gerr) != errText(werr) {
+				t.Fatalf("%s: shared parser err %v, fresh parse err %v", rootPath, gerr, werr)
+			}
+			if d := treeDiff(got, want); d != "" {
+				t.Fatalf("%s: shared parser tree differs from a fresh parse: %s", rootPath, d)
+			}
+		}
 		tree, err := Parse(src, "Kconfig")
 		if err != nil {
 			if !errors.Is(err, ErrParse) {

@@ -1,7 +1,6 @@
 package kconfig
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -64,7 +63,9 @@ type ChoiceGroup struct {
 // workers may share one Tree freely: AllYesConfig, AllModConfig,
 // ApplyDefconfig and the dependency queries only read it and build fresh
 // Config values. (In practice sharing goes through core.ConfigProvider,
-// which also memoizes the valuations under a lock.)
+// which also memoizes the valuations under a lock.) Trees linked by one
+// Parser may share *Symbol and *ChoiceGroup values, which are immutable
+// too.
 type Tree struct {
 	symbols map[string]*Symbol
 	order   []string
@@ -73,234 +74,6 @@ type Tree struct {
 	files []string
 	// selected holds every symbol some `select` clause targets.
 	selected map[string]bool
-}
-
-// ErrParse wraps Kconfig syntax errors.
-var ErrParse = errors.New("kconfig: parse error")
-
-// Parse reads the Kconfig hierarchy rooted at rootPath, following `source`
-// directives.
-func Parse(src Source, rootPath string) (*Tree, error) {
-	t := &Tree{symbols: make(map[string]*Symbol), selected: make(map[string]bool)}
-	if err := t.parseFile(src, rootPath, nil, 0); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-const maxSourceDepth = 32
-
-// parseFile parses one Kconfig file. cond is the conjunction of enclosing
-// `if` blocks from ancestors, applied as an extra dependency to each symbol.
-func (t *Tree) parseFile(src Source, path string, cond Expr, depth int) error {
-	if depth > maxSourceDepth {
-		return fmt.Errorf("%w: source nesting too deep at %s", ErrParse, path)
-	}
-	content, ok := src.ReadFile(path)
-	if !ok {
-		return fmt.Errorf("%w: %s: no such file", ErrParse, path)
-	}
-	t.files = append(t.files, path)
-
-	var cur *Symbol
-	var curChoice *ChoiceGroup
-	// condStack holds the conditions of `if` blocks opened in this file.
-	condStack := []Expr{cond}
-	curCond := func() Expr { return condStack[len(condStack)-1] }
-	lines := strings.Split(content, "\n")
-	for ln, raw := range lines {
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		word, rest := splitWord(line)
-		fail := func(msg string) error {
-			return fmt.Errorf("%w: %s:%d: %s", ErrParse, path, ln+1, msg)
-		}
-		switch word {
-		case "config", "menuconfig":
-			if !isIdentText(rest) {
-				return fail(fmt.Sprintf("bad symbol name %q", rest))
-			}
-			cur = t.declare(rest, path)
-			if c := curCond(); c != nil {
-				cur.addDep(c)
-			}
-			if curChoice != nil {
-				curChoice.Members = append(curChoice.Members, cur.Name)
-			}
-		case "choice":
-			cur = nil
-			if curChoice != nil {
-				return fail("nested choice blocks are not supported")
-			}
-			curChoice = &ChoiceGroup{}
-			t.choices = append(t.choices, curChoice)
-		case "endchoice":
-			cur = nil
-			if curChoice == nil {
-				return fail("endchoice without choice")
-			}
-			curChoice = nil
-		case "bool", "boolean":
-			if cur == nil {
-				if curChoice != nil {
-					continue // the choice block's own type line
-				}
-				return fail("type outside config block")
-			}
-			cur.Type = TypeBool
-			cur.Prompt = unquote(rest)
-		case "tristate":
-			if cur == nil {
-				if curChoice != nil {
-					continue
-				}
-				return fail("type outside config block")
-			}
-			cur.Type = TypeTristate
-			cur.Prompt = unquote(rest)
-		case "depends":
-			if cur == nil {
-				return fail("depends outside config block")
-			}
-			exprText := strings.TrimSpace(strings.TrimPrefix(rest, "on"))
-			e, err := ParseExpr(exprText)
-			if err != nil {
-				return fail(err.Error())
-			}
-			cur.addDep(e)
-		case "select":
-			if cur == nil {
-				return fail("select outside config block")
-			}
-			target, condText := splitIf(rest)
-			if !isIdentText(target) {
-				return fail(fmt.Sprintf("bad select target %q", target))
-			}
-			sel := Select{Target: target}
-			if condText != "" {
-				e, err := ParseExpr(condText)
-				if err != nil {
-					return fail(err.Error())
-				}
-				sel.Cond = e
-			}
-			cur.Selects = append(cur.Selects, sel)
-			t.selected[target] = true
-		case "default", "def_bool", "def_tristate":
-			if cur == nil {
-				// A default line directly inside a choice block names the
-				// chosen member.
-				if curChoice != nil && word == "default" {
-					name, _ := splitIf(rest)
-					if !isIdentText(name) {
-						return fail(fmt.Sprintf("bad choice default %q", name))
-					}
-					curChoice.Default = name
-					continue
-				}
-				return fail("default outside config block")
-			}
-			if word == "def_bool" {
-				cur.Type = TypeBool
-			}
-			if word == "def_tristate" {
-				cur.Type = TypeTristate
-			}
-			valText, condText := splitIf(rest)
-			v, err := ParseExpr(valText)
-			if err != nil {
-				return fail(err.Error())
-			}
-			d := Default{Value: v}
-			if condText != "" {
-				e, err := ParseExpr(condText)
-				if err != nil {
-					return fail(err.Error())
-				}
-				d.Cond = e
-			}
-			cur.Defaults = append(cur.Defaults, d)
-		case "source":
-			cur = nil
-			if err := t.parseFile(src, unquote(rest), curCond(), depth+1); err != nil {
-				return err
-			}
-		case "if":
-			cur = nil
-			e, err := ParseExpr(rest)
-			if err != nil {
-				return fail(err.Error())
-			}
-			if c := curCond(); c != nil {
-				e = andExpr{c, e}
-			}
-			condStack = append(condStack, e)
-		case "endif":
-			cur = nil
-			if len(condStack) == 1 {
-				return fail("endif without if")
-			}
-			condStack = condStack[:len(condStack)-1]
-		case "menu", "endmenu", "comment", "help", "---help---", "mainmenu":
-			// Structure and documentation only. Help bodies are indented
-			// free text; they never collide with recognized keywords here
-			// because the generated corpus keeps help text one line.
-			cur = nil
-		default:
-			// Unknown attribute lines inside a config block are tolerated
-			// (string/int symbols, ranges, etc. are irrelevant to builds).
-		}
-	}
-	if len(condStack) != 1 {
-		return fmt.Errorf("%w: %s: unterminated if block", ErrParse, path)
-	}
-	if curChoice != nil {
-		return fmt.Errorf("%w: %s: unterminated choice block", ErrParse, path)
-	}
-	return nil
-}
-
-func (t *Tree) declare(name, file string) *Symbol {
-	if s, ok := t.symbols[name]; ok {
-		return s
-	}
-	s := &Symbol{Name: name, Type: TypeBool, DefFile: file}
-	t.symbols[name] = s
-	t.order = append(t.order, name)
-	return s
-}
-
-func (s *Symbol) addDep(e Expr) {
-	if s.DependsOn == nil {
-		s.DependsOn = e
-		return
-	}
-	s.DependsOn = andExpr{s.DependsOn, e}
-}
-
-func splitWord(line string) (word, rest string) {
-	if i := strings.IndexAny(line, " \t"); i >= 0 {
-		return line[:i], strings.TrimSpace(line[i:])
-	}
-	return line, ""
-}
-
-// splitIf splits "EXPR if COND" at the top-level `if`.
-func splitIf(s string) (value, cond string) {
-	if i := strings.Index(s, " if "); i >= 0 {
-		return strings.TrimSpace(s[:i]), strings.TrimSpace(s[i+4:])
-	}
-	return strings.TrimSpace(s), ""
-}
-
-func unquote(s string) string {
-	s = strings.TrimSpace(s)
-	if len(s) >= 2 && s[0] == '"' && s[len(s)-1] == '"' {
-		return s[1 : len(s)-1]
-	}
-	return s
 }
 
 // Symbol returns the named symbol, or nil.

@@ -1,7 +1,9 @@
 package presence
 
 import (
+	"slices"
 	"strings"
+	"sync"
 
 	"jmake/internal/kbuild"
 	"jmake/internal/kconfig"
@@ -85,6 +87,115 @@ func UndeclaredKnow(kt *kconfig.Tree) func(string) (bool, bool) {
 	}
 }
 
+// Model is one architecture's Kconfig tree with the formulas derived from
+// it memoized: each symbol's DependsFormulas pair, and each configuration
+// variable's KconfigConstraints terms. The memo is keyed per architecture,
+// not per declaration: a declaration that architectures share folds
+// differently in each, since `depends on X86 || ARM` loses the operand an
+// architecture does not declare. A Model made by NewModel is safe for
+// concurrent use; the zero Model over a tree, as the package-level
+// ArchFormula uses, computes everything afresh.
+type Model struct {
+	kt *kconfig.Tree
+
+	mu   sync.Mutex
+	deps map[string]depAbs  // by symbol name
+	vars map[string]varInfo // by formula variable
+}
+
+// varInfo is what the architecture's Kconfig says about one formula
+// variable.
+type varInfo struct {
+	// exclusive is !(CONFIG_X && CONFIG_X_MODULE) for the y variable of a
+	// tristate X, conjoined when the formula also holds modVar.
+	exclusive Formula
+	modVar    string
+	// dep is the variable's dependency implication, nil when its option
+	// has no `depends on` or is a select target.
+	dep Formula
+}
+
+// NewModel returns an empty memo over one architecture's tree.
+func NewModel(kt *kconfig.Tree) *Model {
+	return &Model{kt: kt, deps: make(map[string]depAbs), vars: make(map[string]varInfo)}
+}
+
+// DependsOf is DependsFormulas of the named symbol's `depends on`, which
+// must be declared with one.
+func (m *Model) DependsOf(name string) (enabled, isYes Formula) {
+	if m.deps == nil {
+		return DependsFormulas(m.kt, m.kt.Symbol(name).DependsOn)
+	}
+	m.mu.Lock()
+	d, ok := m.deps[name]
+	m.mu.Unlock()
+	if !ok {
+		d.enabled, d.isYes = DependsFormulas(m.kt, m.kt.Symbol(name).DependsOn)
+		m.mu.Lock()
+		m.deps[name] = d
+		m.mu.Unlock()
+	}
+	return d.enabled, d.isYes
+}
+
+// info returns what the tree says about one formula variable.
+func (m *Model) info(name string) varInfo {
+	if m.vars == nil || !IsConfigSymbol(name) {
+		return m.varInfo(name)
+	}
+	m.mu.Lock()
+	vi, ok := m.vars[name]
+	m.mu.Unlock()
+	if !ok {
+		vi = m.varInfo(name)
+		m.mu.Lock()
+		m.vars[name] = vi
+		m.mu.Unlock()
+	}
+	return vi
+}
+
+func (m *Model) varInfo(name string) varInfo {
+	kt := m.kt
+	var vi varInfo
+	if !IsConfigSymbol(name) {
+		return vi
+	}
+	base := strings.TrimPrefix(name, "CONFIG_")
+	root, isModuleVar := base, false
+	if kt.Symbol(base) == nil {
+		r, ok := strings.CutSuffix(base, "_MODULE")
+		if !ok {
+			return vi
+		}
+		root, isModuleVar = r, true
+	}
+	s := kt.Symbol(root)
+	if s == nil {
+		return vi
+	}
+	yVar := Symbol("CONFIG_" + root)
+	mVar := Symbol("CONFIG_" + root + "_MODULE")
+	if s.Type == kconfig.TypeTristate && !isModuleVar {
+		vi.exclusive, vi.modVar = Not(And(yVar, mVar)), "CONFIG_"+root+"_MODULE"
+	}
+	if kt.SelectTargets()[root] || s.DependsOn == nil {
+		return vi
+	}
+	enabled, isYes := m.DependsOf(root)
+	switch {
+	case isModuleVar:
+		vi.dep = Implies(mVar, enabled)
+	case s.Type == kconfig.TypeTristate:
+		// The fixpoint bounds a tristate by its dependency value, so
+		// reaching y needs the dependency at y.
+		vi.dep = Implies(yVar, isYes)
+	default:
+		vi.dep = Implies(yVar, enabled)
+	}
+	return vi
+}
+
 // KconfigConstraints conjoins what the architecture's Kconfig tree says
 // about the configuration symbols appearing in f: y and m are exclusive
 // values of one option, and a symbol not forced by `select` can only be
@@ -92,49 +203,18 @@ func UndeclaredKnow(kt *kconfig.Tree) func(string) (bool, bool) {
 // one level — symbols they introduce stay unconstrained, which only widens
 // satisfiability and therefore keeps dead proofs sound. Select targets
 // (kconfig.Tree.SelectTargets) get no dependency constraint.
-func KconfigConstraints(kt *kconfig.Tree, f Formula) Formula {
-	selects := kt.SelectTargets()
+func (m *Model) KconfigConstraints(f Formula) Formula {
 	out := True
 	syms := Symbols(f)
-	present := make(map[string]bool, len(syms))
-	for _, s := range syms {
-		present[s] = true
-	}
 	for _, name := range syms {
-		if !IsConfigSymbol(name) {
-			continue
-		}
-		base := strings.TrimPrefix(name, "CONFIG_")
-		root, isModuleVar := base, false
-		if kt.Symbol(base) == nil {
-			r, ok := strings.CutSuffix(base, "_MODULE")
-			if !ok {
-				continue
+		vi := m.info(name)
+		if vi.exclusive != nil {
+			if _, present := slices.BinarySearch(syms, vi.modVar); present {
+				out = And(out, vi.exclusive)
 			}
-			root, isModuleVar = r, true
 		}
-		s := kt.Symbol(root)
-		if s == nil {
-			continue
-		}
-		yVar := Symbol("CONFIG_" + root)
-		mVar := Symbol("CONFIG_" + root + "_MODULE")
-		if s.Type == kconfig.TypeTristate && !isModuleVar && present["CONFIG_"+root+"_MODULE"] {
-			out = And(out, Not(And(yVar, mVar)))
-		}
-		if selects[root] || s.DependsOn == nil {
-			continue
-		}
-		enabled, isYes := DependsFormulas(kt, s.DependsOn)
-		switch {
-		case isModuleVar:
-			out = And(out, Implies(mVar, enabled))
-		case s.Type == kconfig.TypeTristate:
-			// The fixpoint bounds a tristate by its dependency value, so
-			// reaching y needs the dependency at y.
-			out = And(out, Implies(yVar, isYes))
-		default:
-			out = And(out, Implies(yVar, enabled))
+		if vi.dep != nil {
+			out = And(out, vi.dep)
 		}
 	}
 	return out
@@ -198,11 +278,17 @@ func DependsFormulas(kt *kconfig.Tree, e kconfig.Expr) (enabled, isYes Formula) 
 // ungated files (headers). The result feeds Decide: SatNo proves the
 // condition can hold in no configuration of this architecture.
 func ArchFormula(kt *kconfig.Tree, cond Formula, gate *kbuild.Gate) Formula {
+	m := Model{kt: kt}
+	return m.ArchFormula(cond, gate)
+}
+
+// ArchFormula is the package-level ArchFormula through the model's memo.
+func (m *Model) ArchFormula(cond Formula, gate *kbuild.Gate) Formula {
 	f := cond
 	if gate != nil {
-		f = And(f, GateFormula(kt, gate))
-		f = Replace(f, ModuleRepl(kt, gate))
+		f = And(f, GateFormula(m.kt, gate))
+		f = Replace(f, ModuleRepl(m.kt, gate))
 	}
-	f = Substitute(f, UndeclaredKnow(kt))
-	return And(f, KconfigConstraints(kt, f))
+	f = Substitute(f, UndeclaredKnow(m.kt))
+	return And(f, m.KconfigConstraints(f))
 }
