@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet race lint lint-go fuzz bench-witness bench-workers bench-static bench-audit bench bench-scaling cache-smoke trace-smoke daemon-smoke audit-smoke follow-smoke obs-smoke eval
+.PHONY: check build test vet race lint lint-go fuzz bench-witness bench-workers bench-static bench-audit bench-checkout bench bench-scaling cache-smoke trace-smoke daemon-smoke audit-smoke follow-smoke obs-smoke eval
 
 check: vet build test race lint lint-go fuzz cache-smoke trace-smoke daemon-smoke audit-smoke follow-smoke obs-smoke bench-scaling
 
@@ -14,7 +14,8 @@ test:
 	$(GO) test ./...
 
 # The second line repeats the copy-on-write tree's concurrency test, whose
-# goroutines clone, write and query trees that share file versions; the
+# goroutines clone, write and query trees that share leaves and file
+# versions, while their clones mark the source's leaves shared; the
 # third repeats the preprocessor's, whose goroutines expand the same cached
 # line tokens and predefined macro bodies.
 race:
@@ -58,8 +59,10 @@ audit-smoke:
 # presence formula says so, a malformed makefile must never panic the
 # Kbuild walk or make Reachable disagree with FileGate, and
 # copy-on-write trees must answer every query like plain maps, with no
-# write leaking between a clone and its source and with Containing's
-# trigram prefilter answering exactly as strings.Contains over each file,
+# write leaking between a clone and its source through a shared leaf, with
+# Containing's trigram prefilter answering exactly as strings.Contains over
+# each file and with every version's memoized hash equal to a fresh
+# FNV-64a of its content, over trees that split and empty leaves,
 # the preprocessor must give the same result with and without its token
 # cache (and again through a warm one), the compiler front end must
 # never panic, must scan .i text as a plain line split would and must
@@ -92,6 +95,13 @@ bench-witness:
 # runs show the spread.
 bench-audit:
 	$(GO) test ./internal/audit/ -run '^$$' -bench BenchmarkAuditRun -benchmem -cpu 1 -count 5
+
+# Snapshot cost in process: every window commit of a generated workspace
+# (tree scale 1.0, commit scale 0.3) checked out, cloned once and searched
+# by one header hunt, comparable across checkouts without perfbench.
+# GOMAXPROCS 1 as in bench-audit; five runs show the spread.
+bench-checkout:
+	$(GO) test ./internal/vcs/ -run '^$$' -bench BenchmarkCheckoutWindow -benchmem -cpu 1 -count 5
 
 # Patch-window throughput at 1/2/4/8 workers (speedup tracks CPU cores).
 bench-workers:

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"jmake/internal/cpp"
+	"jmake/internal/fstree"
 )
 
 // compileOK asserts success and returns the object.
@@ -96,9 +97,9 @@ func TestLineMarkersMapPositions(t *testing.T) {
 // mapSource is a cpp.Source backed by a map.
 type mapSource map[string]string
 
-func (m mapSource) ReadFile(p string) (string, bool) {
+func (m mapSource) ReadHashed(p string) (string, uint64, bool) {
 	c, ok := m[p]
-	return c, ok
+	return c, fstree.Hash(c), ok
 }
 
 func TestImplicitDeclaration(t *testing.T) {

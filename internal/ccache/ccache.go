@@ -53,10 +53,12 @@ import (
 	"jmake/internal/vclock"
 )
 
-// Source supplies file contents for manifest hashing and verification
-// (satisfied by kbuild.TreeSource).
+// Source supplies the content hash of every file a manifest names, for
+// manifest building and verification (satisfied by kbuild.TreeSource,
+// which memoizes each file version's hash). The hash is fstree.Hash of
+// the content.
 type Source interface {
-	ReadFile(path string) (string, bool)
+	ReadHashed(path string) (content string, hash uint64, ok bool)
 }
 
 // Stage separates the two cached pipeline stages.
@@ -152,18 +154,6 @@ type stageSeries struct {
 	savedNS                  *metrics.Counter // effective ledger, integer ns
 }
 
-func newStageSeries(reg *metrics.Registry, stage Stage) stageSeries {
-	l := metrics.L("stage", stage.String())
-	return stageSeries{
-		hits:        reg.Counter("result_cache_hits", l),
-		misses:      reg.Counter("result_cache_misses", l),
-		deduped:     reg.Counter("result_cache_deduped", l),
-		bytesServed: reg.Counter("result_cache_bytes_served", l),
-		bytesStored: reg.Counter("result_cache_bytes_stored", l),
-		savedNS:     reg.Counter("result_cache_saved_ns", l),
-	}
-}
-
 func (s stageSeries) snapshot() Stats {
 	return Stats{
 		Hits:        s.hits.Value(),
@@ -215,21 +205,43 @@ func New() *Cache { return NewIn(metrics.NewRegistry()) }
 // NewIn returns an empty cache whose counters are series in reg, so a
 // shared session registry owns every cache's numbers.
 func NewIn(reg *metrics.Registry) *Cache {
-	c := &Cache{
-		loaded:       reg.Counter("result_cache_loaded_entries"),
-		loadFailures: reg.Counter("ccache_load_failures"),
-		saveFailures: reg.Counter("ccache_save_failures"),
-	}
+	c := &Cache{}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.index = make(map[uint64][]*entry)
 		sh.byID = make(map[uint64]*entry)
 		sh.inflight = make(map[uint64]chan struct{})
 	}
-	for s := StageI; s < numStages; s++ {
-		c.series[s] = newStageSeries(reg, s)
-	}
+	c.counters(func(ctr **metrics.Counter, name string, labels ...metrics.Label) {
+		*ctr = reg.Counter(name, labels...)
+	})
 	return c
+}
+
+// Register makes reg report the cache's counter series as well as the
+// registry the cache was made in, e.g. when a session adopts a cache built
+// on its own (core.Session.SetResultCache).
+func (c *Cache) Register(reg *metrics.Registry) {
+	c.counters(func(ctr **metrics.Counter, name string, labels ...metrics.Label) {
+		reg.Attach(*ctr, name, labels...)
+	})
+}
+
+// counters calls fn with each of the cache's counter handles and the
+// name and labels of its series.
+func (c *Cache) counters(fn func(ctr **metrics.Counter, name string, labels ...metrics.Label)) {
+	fn(&c.loaded, "result_cache_loaded_entries")
+	fn(&c.loadFailures, "ccache_load_failures")
+	fn(&c.saveFailures, "ccache_save_failures")
+	for s := StageI; s < numStages; s++ {
+		l, ss := metrics.L("stage", s.String()), &c.series[s]
+		fn(&ss.hits, "result_cache_hits", l)
+		fn(&ss.misses, "result_cache_misses", l)
+		fn(&ss.deduped, "result_cache_deduped", l)
+		fn(&ss.bytesServed, "result_cache_bytes_served", l)
+		fn(&ss.bytesStored, "result_cache_bytes_stored", l)
+		fn(&ss.savedNS, "result_cache_saved_ns", l)
+	}
 }
 
 // shardFor maps a probe key to its shard by prefix (top bits).
@@ -323,12 +335,6 @@ func (c *Cache) NoteDedup(stage Stage) {
 		return
 	}
 	c.series[stage].deduped.Inc()
-}
-
-func hashContent(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	return h.Sum64()
 }
 
 func hashU64(h interface{ Write([]byte) (int, error) }, v uint64) {
@@ -425,10 +431,10 @@ type Probe struct {
 // Probe looks up the verdict for rootPath against src.
 func (cx Context) Probe(src Source, rootPath string) *Probe {
 	p := &Probe{c: cx.c, stg: cx.stg, ctx: cx.ctx, src: src, rootPath: rootPath}
-	content, ok := src.ReadFile(rootPath)
+	_, rootHash, ok := src.ReadHashed(rootPath)
 	if ok {
-		p.rootHash = hashContent(content)
-		p.Key = probeKey(cx.stg, cx.ctx, p.rootHash)
+		p.rootHash = rootHash
+		p.Key = probeKey(cx.stg, cx.ctx, rootHash)
 	}
 	c := cx.c
 	if c == nil || !ok {
@@ -498,14 +504,10 @@ func (p *Probe) tryServe(e *entry) (string, bool) {
 		return "", false
 	}
 	for _, d := range e.deps[1:] {
-		if d.Absent {
-			if _, ok := p.src.ReadFile(d.Path); ok {
-				return "", false
-			}
-			continue
-		}
-		content, ok := p.src.ReadFile(d.Path)
-		if !ok || hashContent(content) != d.Hash {
+		// A file probed absent must still be absent, and a file read must
+		// still hold the same content.
+		_, h, ok := p.src.ReadHashed(d.Path)
+		if ok == d.Absent || ok && h != d.Hash {
 			return "", false
 		}
 	}
@@ -567,13 +569,13 @@ func (p *Probe) buildDeps(inputs, missing []string) []dep {
 		if in == p.rootPath {
 			continue
 		}
-		content, ok := p.src.ReadFile(in)
+		_, h, ok := p.src.ReadHashed(in)
 		if !ok {
 			// The tree changed mid-run (cannot happen on the single-threaded
 			// builder path); treat as unhashable.
 			return nil
 		}
-		deps = append(deps, dep{Path: in, Hash: hashContent(content)})
+		deps = append(deps, dep{Path: in, Hash: h})
 	}
 	for _, m := range missing {
 		deps = append(deps, dep{Path: m, Absent: true})

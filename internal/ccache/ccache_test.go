@@ -11,6 +11,7 @@ import (
 
 	"jmake/internal/cc"
 	"jmake/internal/cpp"
+	"jmake/internal/fstree"
 	"jmake/internal/metrics"
 	"jmake/internal/vclock"
 )
@@ -22,9 +23,9 @@ func optsWith(dirs []string, defines map[string]string, depth int) cpp.Options {
 // mapSource is a trivial Source over a mutable file map.
 type mapSource map[string]string
 
-func (m mapSource) ReadFile(p string) (string, bool) {
+func (m mapSource) ReadHashed(p string) (string, uint64, bool) {
 	s, ok := m[p]
-	return s, ok
+	return s, fstree.Hash(s), ok
 }
 
 func testSource() mapSource {

@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"jmake/internal/cc"
+	"jmake/internal/fstree"
 	"jmake/internal/metrics"
 	"jmake/internal/vclock"
 )
@@ -52,7 +53,7 @@ func (d *diskEntry) checksum() uint64 {
 	e := d.toEntry()
 	h := entryID(e)
 	// Fold the payload in on top of the key-side identity.
-	return h ^ hashContent(d.Err) ^ hashContent(d.Text) ^
+	return h ^ fstree.Hash(d.Err) ^ fstree.Hash(d.Text) ^
 		uint64(d.Work.Lines)<<32 ^ uint64(d.Work.Includes) ^
 		uint64(d.Object.Lines)<<16 ^ uint64(d.Object.Functions) ^
 		uint64(boolBit(d.Failed))<<63 ^ hashStrings(d.Object.Defined)
@@ -68,7 +69,7 @@ func boolBit(b bool) int {
 func hashStrings(ss []string) uint64 {
 	var h uint64 = 1469598103934665603
 	for _, s := range ss {
-		h ^= hashContent(s)
+		h ^= fstree.Hash(s)
 		h *= 1099511628211
 	}
 	return h

@@ -58,16 +58,21 @@ func NewSession(base *fstree.Tree) (*Session, error) {
 	}, nil
 }
 
-// Metrics returns the session's registry. Counters created by a
-// replacement result cache (SetResultCache) live in that cache's own
-// registry; everything else counts here.
+// Metrics returns the session's registry, which holds every counter the
+// session's checks count into, a replacement result cache's included.
 func (s *Session) Metrics() *metrics.Registry { return s.metrics }
 
 // SetResultCache replaces the shared compile-result cache — e.g. with one
 // warm-started from disk (ccache.Load) — or disables result caching
-// entirely (nil). Call it before the first Checker; verdicts and reported
+// entirely (nil). The session's registry adopts the new cache's counter
+// series. Call it before the first Checker; verdicts and reported
 // durations are identical either way, only real compute changes.
-func (s *Session) SetResultCache(c *ccache.Cache) { s.results = c }
+func (s *Session) SetResultCache(c *ccache.Cache) {
+	s.results = c
+	if c != nil {
+		c.Register(s.metrics)
+	}
+}
 
 // ResultCache returns the shared compile-result cache (nil when disabled),
 // e.g. to persist it with ccache.Save after a window completes.

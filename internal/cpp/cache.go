@@ -1,7 +1,6 @@
 package cpp
 
 import (
-	"hash/fnv"
 	"sync"
 
 	"jmake/internal/metrics"
@@ -98,23 +97,16 @@ func NewTokenCacheIn(reg *metrics.Registry) *TokenCache {
 	return c
 }
 
-// contentKey hashes the content alone: two paths holding identical bytes
-// share one cache entry (the doc'd "keyed by content identity").
-func contentKey(content string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(content))
-	return h.Sum64()
-}
-
 // shardFor maps a key to its shard by prefix (top bits).
 func (c *TokenCache) shardFor(key uint64) *tokenShard {
 	return &c.shards[key>>(64-4)] // top log2(tokenShards) bits
 }
 
 // scan returns the logical lines and per-line tokens for content, from the
-// cache when possible. path is carried as debug information only.
-func (c *TokenCache) scan(path, content string) ([]logicalLine, [][]Token) {
-	key := contentKey(content)
+// cache when possible. key is fstree.Hash(content), the content alone, so
+// two paths holding identical bytes share one entry; path is carried as
+// debug information only.
+func (c *TokenCache) scan(path, content string, key uint64) ([]logicalLine, [][]Token) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	var e *cachedFile

@@ -2,9 +2,56 @@ package cpp
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+
+	"jmake/internal/fstree"
 )
+
+// scanOf scans content under its fstree.Hash key, as Preprocess does over
+// a plain Source.
+func scanOf(c *TokenCache, path, content string) ([]logicalLine, [][]Token) {
+	return c.scan(path, content, fstree.Hash(content))
+}
+
+// constHashSource is a Source that gives every file the same hash, as if
+// every content collided.
+type constHashSource map[string]string
+
+func (m constHashSource) ReadHashed(p string) (string, uint64, bool) {
+	c, ok := m[p]
+	return c, 42, ok
+}
+
+// Preprocess keys the token cache by the source's hash, not by one of its
+// own, and a hash shared by different contents still never serves the
+// wrong tokens.
+func TestTokenCacheKeysBySourceHash(t *testing.T) {
+	src := constHashSource{
+		"a.c": "#include \"b.h\"\n#include \"c.h\"\nint a;\n",
+		"b.h": "int b;\n",
+		"c.h": "int c;\n",
+	}
+	c := NewTokenCache()
+	for i := 0; i < 2; i++ {
+		res, err := Preprocess(src, "a.c", Options{Cache: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"int a;", "int b;", "int c;"} {
+			if !strings.Contains(res.Output, want) {
+				t.Fatalf("pass %d: output lacks %q:\n%s", i, want, res.Output)
+			}
+		}
+	}
+	if got := len(c.shardFor(42).entries[42]); got != 3 {
+		t.Fatalf("entries under the source's hash = %d, want 3", got)
+	}
+	if hits, misses := c.Stats(); hits != 3 || misses != 3 {
+		t.Fatalf("stats = %d hits / %d misses, want 3/3", hits, misses)
+	}
+}
 
 // Two different paths carrying identical content must share one cache
 // entry: one miss for the first scan, hits for every later one. This is
@@ -14,8 +61,8 @@ func TestTokenCacheDedupesAcrossPaths(t *testing.T) {
 	c := NewTokenCache()
 	const content = "#define A 1\nint a = A;\n"
 
-	l1, t1 := c.scan("include/linux/a.h", content)
-	l2, t2 := c.scan("arch/x86/include/a_copy.h", content)
+	l1, t1 := scanOf(c, "include/linux/a.h", content)
+	l2, t2 := scanOf(c, "arch/x86/include/a_copy.h", content)
 
 	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
 		t.Fatalf("stats after two same-content scans = %d hits / %d misses, want 1/1", hits, misses)
@@ -29,7 +76,7 @@ func TestTokenCacheDedupesAcrossPaths(t *testing.T) {
 	}
 
 	// Different content still misses.
-	c.scan("include/linux/a.h", content+"\n// trailing\n")
+	scanOf(c, "include/linux/a.h", content+"\n// trailing\n")
 	if hits, misses := c.Stats(); hits != 1 || misses != 2 {
 		t.Fatalf("stats after distinct-content scan = %d hits / %d misses, want 1/2", hits, misses)
 	}
@@ -44,10 +91,10 @@ func TestTokenCacheCollisionNeverServesWrongTokens(t *testing.T) {
 	c := NewTokenCache()
 	want := "int real_content;\n"
 	imposterContent := "int imposter;\n"
-	key := contentKey(want)
+	key := fstree.Hash(want)
 
 	// Plant an imposter entry in want's bucket, pre-lexed from different
-	// content, as if contentKey(imposterContent) had collided with key.
+	// content, as if fstree.Hash(imposterContent) had collided with key.
 	imposter := &cachedFile{content: imposterContent, path: "imposter.h"}
 	imposter.once.Do(func() {
 		imposter.lines = logicalLines(imposterContent)
@@ -56,7 +103,7 @@ func TestTokenCacheCollisionNeverServesWrongTokens(t *testing.T) {
 	sh := c.shardFor(key)
 	sh.entries[key] = append(sh.entries[key], imposter)
 
-	lines, toks := c.scan("real.h", want)
+	lines, toks := scanOf(c, "real.h", want)
 	if len(lines) != 1 || lines[0].text != "int real_content;" {
 		t.Fatalf("scan served wrong logical lines: %+v", lines)
 	}
@@ -73,7 +120,7 @@ func TestTokenCacheCollisionNeverServesWrongTokens(t *testing.T) {
 	}
 
 	// Re-scanning the real content hits its own entry, not the imposter's.
-	_, toks2 := c.scan("real.h", want)
+	_, toks2 := scanOf(c, "real.h", want)
 	if toks2[0][1].Text != "real_content" {
 		t.Fatalf("re-scan served imposter tokens: %+v", toks2)
 	}
@@ -92,7 +139,7 @@ func TestTokenCacheConcurrentElection(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < distinct; k++ {
 				content := fmt.Sprintf("int v%d = %d;\n", k, k)
-				_, toks := c.scan(fmt.Sprintf("dir%d/f%d.h", g, k), content)
+				_, toks := scanOf(c, fmt.Sprintf("dir%d/f%d.h", g, k), content)
 				if len(toks) != 1 {
 					t.Errorf("scan(%d) returned %d token lines, want 1", k, len(toks))
 				}

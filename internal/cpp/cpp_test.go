@@ -5,14 +5,16 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"jmake/internal/fstree"
 )
 
 // mapSource is a Source backed by a map.
 type mapSource map[string]string
 
-func (m mapSource) ReadFile(p string) (string, bool) {
+func (m mapSource) ReadHashed(p string) (string, uint64, bool) {
 	c, ok := m[p]
-	return c, ok
+	return c, fstree.Hash(c), ok
 }
 
 // run preprocesses main.c from the given file set and returns the output.

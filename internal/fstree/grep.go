@@ -1,20 +1,6 @@
 package fstree
 
-import (
-	"strings"
-	"sync/atomic"
-)
-
-// file is one version of a file: its content and, once a query has read
-// it, the trigram signature of that content. Write makes a new version,
-// and nothing changes a version's content afterwards, so trees that share
-// a version share its signature.
-type file struct {
-	content string
-	// sig is computed lazily by Containing. Trees that share versions
-	// are read from several goroutines, hence the atomic pointer.
-	sig atomic.Pointer[signature]
-}
+import "strings"
 
 // sigBits is the size of a signature, 2^sigLog bits. At 2,048 bits, over
 // the header hunts of an evaluation window, signatures let through one
@@ -54,18 +40,6 @@ func (s *signature) covers(n *signature) bool {
 	return true
 }
 
-// signature returns f's signature, computing it on first use. Goroutines
-// that race on a first use each compute it and store equal values.
-func (f *file) signature() *signature {
-	if s := f.sig.Load(); s != nil {
-		return s
-	}
-	s := new(signature)
-	s.add(f.content)
-	f.sig.Store(s)
-	return s
-}
-
 // Containing returns, in path order, the paths that end in suffix and
 // whose content contains at least one of needles. The answer is exactly
 // that of strings.Contains over every such file: signatures only skip a
@@ -80,16 +54,17 @@ func (t *Tree) Containing(suffix string, needles []string) []string {
 		sigs[i].add(n)
 	}
 	var out []string
-	for _, p := range t.Paths() {
-		if !strings.HasSuffix(p, suffix) {
-			continue
-		}
-		f, _ := t.lookup(p)
-		s := f.signature()
-		for i, n := range needles {
-			if s.covers(&sigs[i]) && strings.Contains(f.content, n) {
-				out = append(out, p)
-				break
+	for _, l := range t.leaves {
+		for _, e := range l.ents {
+			if !strings.HasSuffix(e.path, suffix) {
+				continue
+			}
+			s := e.v.signature()
+			for i, n := range needles {
+				if s.covers(&sigs[i]) && strings.Contains(e.v.content, n) {
+					out = append(out, e.path)
+					break
+				}
 			}
 		}
 	}

@@ -100,35 +100,32 @@ func (f *Follower) savedSeconds() float64 {
 	return f.sess.SavedEffective().Seconds()
 }
 
-// advanceOne applies commit c to the working tree and returns its changed
-// paths. O(diff), never O(tree).
-func (f *Follower) advanceOne(c *vcs.Commit) []string {
+// advanceOne applies commit cid to the working tree, writing the
+// repository's own file versions, and returns its changed paths. O(diff),
+// never O(tree).
+func (f *Follower) advanceOne(cid string) ([]string, error) {
+	c, err := f.repo.Apply(f.tree, cid)
+	if err != nil {
+		return nil, err
+	}
 	paths := make([]string, 0, len(c.Changes))
 	for _, ch := range c.Changes {
 		paths = append(paths, ch.Path)
-		if ch.New == "" {
-			_ = f.tree.Remove(ch.Path)
-			continue
-		}
-		f.tree.Write(ch.Path, f.repo.Blob(ch.New))
 	}
-	return paths
+	return paths, nil
 }
 
 // sequenceTo lists every commit in (cursor, id], oldest first. The stream
 // the caller checks may skip merges and empty diffs, but the follower must
-// apply all of them to keep tree and session in sync.
+// apply all of them to keep tree and session in sync. The cursor is always
+// a commit of the repository, so an error or an empty range means id is
+// unknown or not after it.
 func (f *Follower) sequenceTo(id string) ([]string, error) {
-	seq, err := f.repo.Since(f.cursor)
-	if err != nil {
-		return nil, fmt.Errorf("incr: %w", err)
+	seq, err := f.repo.Range(f.cursor, id)
+	if err != nil || len(seq) == 0 {
+		return nil, fmt.Errorf("incr: commit %s is not after follower cursor %s", id, f.cursor)
 	}
-	for i, cid := range seq {
-		if cid == id {
-			return seq[:i+1], nil
-		}
-	}
-	return nil, fmt.Errorf("incr: commit %s is not after follower cursor %s", id, f.cursor)
+	return seq, nil
 }
 
 // Step advances the follower through every commit up to and including id
@@ -164,11 +161,10 @@ func (f *Follower) advance(cid string, check bool) (StepResult, error) {
 // true it also prices the commit's blast radius (done before the index
 // update, so dependents reflect the edges the commit found in place).
 func (f *Follower) apply(cid string, stats bool) (StepResult, error) {
-	c, err := f.repo.Get(cid)
+	paths, err := f.advanceOne(cid)
 	if err != nil {
 		return StepResult{Commit: cid, Err: err}, err
 	}
-	paths := f.advanceOne(c)
 	res := StepResult{
 		Commit:     cid,
 		Touched:    len(paths),

@@ -18,21 +18,36 @@ import (
 	"jmake/internal/vclock"
 )
 
-// TreeSource adapts fstree.Tree to the cpp.Source and kconfig.Source
-// interfaces.
+// TreeSource adapts fstree.Tree to the cpp, kconfig and ccache source
+// interfaces. Its reads allocate nothing, hits or misses, and ReadHashed
+// hands out the file version's memoized content hash, so the token cache
+// and the result cache hash each file version once.
 type TreeSource struct {
 	T *fstree.Tree
 }
 
-// ReadFile implements cpp.Source and kconfig.Source.
+// ReadFile implements kconfig.Source.
 func (s TreeSource) ReadFile(p string) (string, bool) {
-	c, err := s.T.Read(p)
-	return c, err == nil
+	v, ok := s.T.Lookup(p)
+	if !ok {
+		return "", false
+	}
+	return v.Content(), true
+}
+
+// ReadHashed implements cpp.Source and ccache.Source.
+func (s TreeSource) ReadHashed(p string) (string, uint64, bool) {
+	v, ok := s.T.Lookup(p)
+	if !ok {
+		return "", 0, false
+	}
+	return v.Content(), v.Hash(), true
 }
 
 var (
 	_ cpp.Source     = TreeSource{}
 	_ kconfig.Source = TreeSource{}
+	_ ccache.Source  = TreeSource{}
 )
 
 // ErrNotReachable is returned when the build never descends to a file for

@@ -50,7 +50,7 @@ func FuzzKconfigParse(f *testing.F) {
 }
 
 // kconfigSeeds pairs kernelgen Kconfig files, their source lines dropped,
-// plus hand-written edge cases.
+// plus hand-written edge cases and the `depends on` after a header shapes.
 func kconfigSeeds(f *testing.F) [][2]string {
 	seeds := [][2]string{
 		{"config A\n\tbool \"a\"\n\tselect B\n", "config B\n\ttristate \"b\"\n\tdepends on A || !C\n"},
@@ -58,6 +58,9 @@ func kconfigSeeds(f *testing.F) [][2]string {
 		{"menuconfig M\n\tbool \"m\"\nif M\n", "config N\n\tdef_bool y if M\n\tdefault m\nendif\n"},
 		{"config A\n\tbool\n\tdepends on (A && B\n", "config 9bad\n"},
 		{"", ""},
+	}
+	for _, shape := range headerDepends {
+		seeds = append(seeds, [2]string{shape[0], shape[1]})
 	}
 	tr, _, err := kernelgen.Generate(kernelgen.Params{Seed: 7, Scale: 0.05})
 	if err != nil {
@@ -76,7 +79,7 @@ func kconfigSeeds(f *testing.F) [][2]string {
 			files = append(files, b.String())
 		}
 	}
-	for i := 0; i+1 < len(files) && len(seeds) < 12; i += 2 {
+	for i := 0; i+1 < len(files) && len(seeds) < 16; i += 2 {
 		seeds = append(seeds, [2]string{files[i], files[i+1]})
 	}
 	return seeds

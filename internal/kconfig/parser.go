@@ -230,16 +230,38 @@ func (l *linker) declare(d *declaration) {
 	s.merge(d)
 }
 
+// block is one `if`, `menu` or `choice` block open in a file, with the
+// condition it applies to every entry inside it: its enclosing blocks'
+// condition and its own `if` expression or `depends on` lines.
+type block struct {
+	kind string // "if", "menu" or "choice"; "" for the file itself
+	cond Expr
+}
+
 // parseRecord parses one file's content. cond is the conjunction of the
-// enclosing `if` blocks of the files that source it, applied as an extra
+// enclosing blocks of the files that source it, applied as an extra
 // dependency to each symbol the file declares.
 func parseRecord(path, content string, cond Expr) *fileRecord {
 	rec := &fileRecord{}
 	var cur *declaration
 	var curChoice *ChoiceGroup
-	// condStack holds the conditions of `if` blocks opened in this file.
-	condStack := []Expr{cond}
-	curCond := func() Expr { return condStack[len(condStack)-1] }
+	// blocks holds the blocks opened in this file, innermost last.
+	blocks := []block{{cond: cond}}
+	curCond := func() Expr { return blocks[len(blocks)-1].cond }
+	// header is set on the lines that follow a `menu`, `choice` or
+	// `comment` line until the first entry: a `depends on` there belongs to
+	// that header. A menu's and a choice's conditions join their block's
+	// condition; a comment's condition guards only the comment itself.
+	header := ""
+	push := func(kind string, c Expr) { blocks = append(blocks, block{kind: kind, cond: c}) }
+	// pop closes the innermost block if it is of the given kind.
+	pop := func(kind string) bool {
+		if blocks[len(blocks)-1].kind != kind {
+			return false
+		}
+		blocks = blocks[:len(blocks)-1]
+		return true
+	}
 	// helpIndent is -1 outside a help body, 0 on the line after `help`,
 	// and the body's first line's indentation after that line.
 	helpIndent := -1
@@ -272,6 +294,7 @@ func parseRecord(path, content string, cond Expr) *fileRecord {
 			if !isIdentText(rest) {
 				return fail(fmt.Sprintf("bad symbol name %q", rest))
 			}
+			header = ""
 			cur = &declaration{sym: &Symbol{Name: rest, Type: TypeBool, DefFile: path}}
 			if c := curCond(); c != nil {
 				cur.addDep(c)
@@ -281,15 +304,16 @@ func parseRecord(path, content string, cond Expr) *fileRecord {
 				curChoice.Members = append(curChoice.Members, rest)
 			}
 		case "choice":
-			cur = nil
 			if curChoice != nil {
 				return fail("nested choice blocks are not supported")
 			}
+			cur, header = nil, "choice"
+			push("choice", curCond())
 			curChoice = &ChoiceGroup{}
 			rec.items = append(rec.items, recordItem{choice: curChoice})
 		case "endchoice":
-			cur = nil
-			if curChoice == nil {
+			cur, header = nil, ""
+			if curChoice == nil || !pop("choice") {
 				return fail("endchoice without choice")
 			}
 			curChoice = nil
@@ -307,7 +331,7 @@ func parseRecord(path, content string, cond Expr) *fileRecord {
 			cur.sym.Prompt = unquote(rest)
 			cur.typed, cur.prompted = true, true
 		case "depends":
-			if cur == nil {
+			if cur == nil && header == "" {
 				return fail("depends outside config block")
 			}
 			exprText := strings.TrimSpace(strings.TrimPrefix(rest, "on"))
@@ -315,7 +339,16 @@ func parseRecord(path, content string, cond Expr) *fileRecord {
 			if err != nil {
 				return fail(err.Error())
 			}
-			cur.addDep(e)
+			switch {
+			case cur != nil:
+				cur.addDep(e)
+			case header != "comment":
+				b := &blocks[len(blocks)-1]
+				if b.cond != nil {
+					e = andExpr{b.cond, e}
+				}
+				b.cond = e
+			}
 		case "select":
 			if cur == nil {
 				return fail("select outside config block")
@@ -368,10 +401,10 @@ func parseRecord(path, content string, cond Expr) *fileRecord {
 			}
 			cur.sym.Defaults = append(cur.sym.Defaults, d)
 		case "source":
-			cur = nil
+			cur, header = nil, ""
 			rec.items = append(rec.items, recordItem{source: unquote(rest), cond: curCond()})
 		case "if":
-			cur = nil
+			cur, header = nil, ""
 			e, err := ParseExpr(rest)
 			if err != nil {
 				return fail(err.Error())
@@ -379,28 +412,34 @@ func parseRecord(path, content string, cond Expr) *fileRecord {
 			if c := curCond(); c != nil {
 				e = andExpr{c, e}
 			}
-			condStack = append(condStack, e)
+			push("if", e)
 		case "endif":
-			cur = nil
-			if len(condStack) == 1 {
+			cur, header = nil, ""
+			if !pop("if") {
 				return fail("endif without if")
 			}
-			condStack = condStack[:len(condStack)-1]
+		case "menu":
+			cur, header = nil, "menu"
+			push("menu", curCond())
+		case "endmenu":
+			cur, header = nil, ""
+			if !pop("menu") {
+				return fail("endmenu without menu")
+			}
 		case "help", "---help---":
-			cur = nil
+			// The entry stays open after its help text.
 			helpIndent = 0
-		case "menu", "endmenu", "comment", "mainmenu":
-			// Structure and documentation only.
-			cur = nil
+		case "comment":
+			cur, header = nil, "comment"
+		case "mainmenu":
+			cur, header = nil, ""
 		default:
 			// Unknown attribute lines inside a config block are tolerated
 			// (string/int symbols, ranges, etc. are irrelevant to builds).
 		}
 	}
-	if len(condStack) != 1 {
-		rec.err = fmt.Errorf("%w: %s: unterminated if block", ErrParse, path)
-	} else if curChoice != nil {
-		rec.err = fmt.Errorf("%w: %s: unterminated choice block", ErrParse, path)
+	if len(blocks) != 1 {
+		rec.err = fmt.Errorf("%w: %s: unterminated %s block", ErrParse, path, blocks[len(blocks)-1].kind)
 	}
 	return rec
 }

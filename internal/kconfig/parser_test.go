@@ -1,6 +1,7 @@
 package kconfig
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -233,5 +234,55 @@ func TestRedeclarationMerges(t *testing.T) {
 	}
 	if r := only.Symbol("R"); r.Type != TypeBool || r.Prompt != "second" || r.DependsOn.String() != "B" || len(r.Selects) != 1 || len(r.Defaults) != 2 {
 		t.Errorf("sub's own R = %+v", *r)
+	}
+}
+
+// headerDepends are `depends on` lines that follow a comment, a menu
+// header, a choice header and a help body, each paired with a file that
+// declares the same tree without the header: a comment's condition guards
+// only the comment, a menu's or a choice's guards every entry inside it as
+// an `if` block's does, and a config entry stays open after its help text.
+var headerDepends = [][2]string{
+	{"config A\n\tbool \"a\"\ncomment \"c\"\n\tdepends on A\nconfig B\n\tbool \"b\"\n",
+		"config A\n\tbool \"a\"\nconfig B\n\tbool \"b\"\n"},
+	{"config A\n\tbool \"a\"\nmenu \"m\"\n\tdepends on A\nconfig B\n\tbool \"b\"\nendmenu\n",
+		"config A\n\tbool \"a\"\nif A\nconfig B\n\tbool \"b\"\nendif\n"},
+	{"config A\n\tbool \"a\"\nchoice\n\tbool \"c\"\n\tdepends on A\nconfig B\n\tbool \"b\"\nconfig C\n\tbool \"c\"\nendchoice\n",
+		"config A\n\tbool \"a\"\nif A\nchoice\n\tbool \"c\"\nconfig B\n\tbool \"b\"\nconfig C\n\tbool \"c\"\nendchoice\nendif\n"},
+	{"config A\n\tbool \"a\"\nconfig B\n\tbool \"b\"\n\thelp\n\t  text\n\tdepends on A\n",
+		"config A\n\tbool \"a\"\nconfig B\n\tbool \"b\"\n\tdepends on A\n"},
+}
+
+// TestDependsAfterHeaders parses each header shape, alone and inside an
+// `if X` block and a menu that depends on X, and requires the tree its
+// header-free counterpart links.
+func TestDependsAfterHeaders(t *testing.T) {
+	// Each wrap puts a shape inside a block, and its counterpart inside
+	// the `if` block that block amounts to.
+	wraps := []struct{ open, close, wantOpen, wantClose string }{
+		{"", "", "", ""},
+		{"if X\n", "endif\n", "if X\n", "endif\n"},
+		{"menu \"outer\"\n\tdepends on X\n", "endmenu\n", "if X\n", "endif\n"},
+	}
+	for i, shape := range headerDepends {
+		for _, w := range wraps {
+			got := parseOne(t, w.open+shape[0]+w.close)
+			want := parseOne(t, w.wantOpen+shape[1]+w.wantClose)
+			if d := treeDiff(got, want); d != "" {
+				t.Errorf("shape %d in %q: %s", i, w.open, d)
+			}
+		}
+	}
+	for _, bad := range []string{
+		"endmenu\n",                                // endmenu without menu
+		"menu \"m\"\nconfig A\n\tbool \"a\"\n",     // unterminated menu
+		"menu \"m\"\nif A\nendmenu\nendif\n",       // crossed blocks
+		"comment \"c\"\n\tdepends on (A\n",         // malformed condition
+		"menu \"m\"\nendmenu\n\tdepends on A\n",    // no header left
+		"choice\nmenu \"m\"\nendchoice\nendmenu\n", // crossed blocks
+	} {
+		if _, err := Parse(mapSource{"Kconfig": bad}, "Kconfig"); !errors.Is(err, ErrParse) {
+			t.Errorf("Parse(%q) = %v, want ErrParse", bad, err)
+		}
 	}
 }

@@ -246,6 +246,16 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	return s.counter
 }
 
+// Attach makes c the counter series for (name, labels), in place of any
+// counter the series held, so a counter made in another registry reports
+// here too.
+func (r *Registry) Attach(c *Counter, name string, labels ...Label) {
+	s := r.lookup("counter", name, labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s.counter = c
+}
+
 // Gauge returns the gauge series for (name, labels).
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	s := r.lookup("gauge", name, labels)

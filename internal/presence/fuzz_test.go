@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"jmake/internal/cpp"
+	"jmake/internal/fstree"
 )
 
 // FuzzPresenceParse throws arbitrary source at the symbolic conditional
@@ -46,9 +47,9 @@ var fuzzTokens = []string{
 // cppSource serves one in-memory file to the preprocessor.
 type cppSource map[string]string
 
-func (s cppSource) ReadFile(p string) (string, bool) {
+func (s cppSource) ReadHashed(p string) (string, uint64, bool) {
 	c, ok := s[p]
-	return c, ok
+	return c, fstree.Hash(c), ok
 }
 
 // FuzzStaticDynamicAgree cross-checks the one #if grammar against the

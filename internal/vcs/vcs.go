@@ -53,55 +53,82 @@ type Commit struct {
 	Subject string
 	IsMerge bool
 	Changes []Change
+	// versions[i] is the repository's version of Changes[i].New, nil for
+	// a deletion, resolved when the commit is appended.
+	versions []*fstree.Version
 }
 
 // checkpointEvery controls how often a tree snapshot is retained to bound
-// checkout cost. A snapshot is a clone of the tip, so it shares the tip's
-// copy-on-write base and costs only the tip's overlay.
+// checkout cost. A snapshot is a clone of the tip: it shares the tip's
+// leaves, and the tip copies a leaf the first time it writes to it.
 const checkpointEvery = 32
 
 // Repo is an append-only repository. It is safe for concurrent reads after
 // all commits have been appended; appending is not concurrency-safe.
+//
+// The repository keeps exactly one fstree.Version per blob, and the tip,
+// the checkpoints and every checkout hold those versions by reference, so
+// a version's content hash and trigram signature are computed once per
+// blob and live as long as the repository.
 type Repo struct {
-	blobs       map[Hash]string
-	commits     map[string]*Commit
-	order       []string // commit IDs, oldest first, including root
+	blobs       map[Hash]*fstree.Version
+	log         []*Commit // oldest first, including root
 	index       map[string]int
 	tags        map[string]string
 	checkpoints []*fstree.Tree // [i]: snapshot after commit i*checkpointEvery
 	tip         *fstree.Tree
+	tipBlobs    map[string]Hash // the blob of each tip file
 }
 
 // NewRepo creates a repository whose root commit holds a copy of base.
 func NewRepo(base *fstree.Tree, author Signature) *Repo {
 	r := &Repo{
-		blobs:   make(map[Hash]string),
-		commits: make(map[string]*Commit),
-		index:   make(map[string]int),
-		tags:    make(map[string]string),
-		tip:     base.Clone(),
+		blobs:    make(map[Hash]*fstree.Version),
+		index:    make(map[string]int),
+		tags:     make(map[string]string),
+		tip:      base.Clone(),
+		tipBlobs: make(map[string]Hash, base.Len()),
 	}
 	root := &Commit{Author: author, Subject: "initial import"}
 	for _, p := range r.tip.Paths() {
-		c, _ := r.tip.Read(p)
-		h := r.putBlob(c)
+		v, _ := r.tip.Lookup(p)
+		h, canon := r.putBlob(v.Content(), v)
+		if canon != v {
+			r.tip.WriteVersion(p, canon) // a content seen at an earlier path
+		}
+		r.tipBlobs[p] = h
 		root.Changes = append(root.Changes, Change{Path: p, New: h})
+		root.versions = append(root.versions, canon)
 	}
-	root.ID = r.commitID(root)
-	r.commits[root.ID] = root
-	r.index[root.ID] = 0
-	r.order = append(r.order, root.ID)
-	r.checkpoints = append(r.checkpoints, r.tip.Clone())
+	r.appendCommit(root)
 	return r
 }
 
-func (r *Repo) putBlob(content string) Hash {
+// putBlob stores content and returns its hash and the blob's one version:
+// v, or a new version when v is nil, if the blob is new.
+func (r *Repo) putBlob(content string, v *fstree.Version) (Hash, *fstree.Version) {
 	sum := sha1.Sum([]byte(content))
 	h := Hash(hex.EncodeToString(sum[:]))
-	if _, ok := r.blobs[h]; !ok {
-		r.blobs[h] = content
+	if have, ok := r.blobs[h]; ok {
+		return h, have
 	}
-	return h
+	if v == nil {
+		v = fstree.NewVersion(content)
+	}
+	r.blobs[h] = v
+	return h, v
+}
+
+// appendCommit gives c its ID and appends it, keeping a checkpoint of the
+// tip at every multiple of checkpointEvery.
+func (r *Repo) appendCommit(c *Commit) {
+	c.ID = r.commitID(c)
+	idx := len(r.log)
+	r.index[c.ID] = idx
+	r.log = append(r.log, c)
+	if idx%checkpointEvery == 0 {
+		r.checkpoints = append(r.checkpoints, r.tip.Clone())
+	}
 }
 
 func (r *Repo) commitID(c *Commit) string {
@@ -119,7 +146,7 @@ func (r *Repo) commitID(c *Commit) string {
 // commit's ID. Paths are cleaned and then applied in sorted order; when
 // several keys clean to the same path, the last key in sorted order wins.
 func (r *Repo) Commit(author Signature, subject string, files map[string]*string, isMerge bool) string {
-	c := &Commit{Parent: r.order[len(r.order)-1], Author: author, Subject: subject, IsMerge: isMerge}
+	c := &Commit{Parent: r.Head(), Author: author, Subject: subject, IsMerge: isMerge}
 	keys := make([]string, 0, len(files))
 	for p := range files {
 		keys = append(keys, p)
@@ -136,42 +163,34 @@ func (r *Repo) Commit(author Signature, subject string, files map[string]*string
 	}
 	sort.Strings(paths)
 	for _, p := range paths {
-		var old Hash
-		if prev, err := r.tip.Read(p); err == nil {
-			old = r.putBlob(prev)
-		}
+		old, had := r.tipBlobs[p]
 		nv := clean[p]
 		if nv == nil {
-			if old == "" {
+			if !had {
 				continue // deleting a nonexistent file is a no-op
 			}
-			if err := r.tip.Remove(p); err != nil {
-				continue
-			}
+			_ = r.tip.Remove(p) // present: tipBlobs mirrors the tip
+			delete(r.tipBlobs, p)
 			c.Changes = append(c.Changes, Change{Path: p, Old: old})
+			c.versions = append(c.versions, nil)
 			continue
 		}
-		if old != "" && r.blobs[old] == *nv {
+		if had && r.blobs[old].Content() == *nv {
 			continue // unchanged content is not a change
 		}
-		h := r.putBlob(*nv)
-		r.tip.Write(p, *nv)
+		h, v := r.putBlob(*nv, nil)
+		r.tip.WriteVersion(p, v)
+		r.tipBlobs[p] = h
 		c.Changes = append(c.Changes, Change{Path: p, Old: old, New: h})
+		c.versions = append(c.versions, v)
 	}
-	c.ID = r.commitID(c)
-	idx := len(r.order)
-	r.commits[c.ID] = c
-	r.index[c.ID] = idx
-	r.order = append(r.order, c.ID)
-	if idx%checkpointEvery == 0 {
-		r.checkpoints = append(r.checkpoints, r.tip.Clone())
-	}
+	r.appendCommit(c)
 	return c.ID
 }
 
 // Tag associates name with a commit ID.
 func (r *Repo) Tag(name, id string) error {
-	if _, ok := r.commits[id]; !ok {
+	if _, ok := r.index[id]; !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownCommit, id)
 	}
 	r.tags[name] = id
@@ -189,15 +208,20 @@ func (r *Repo) TagID(name string) (string, error) {
 
 // Get returns the commit with the given ID.
 func (r *Repo) Get(id string) (*Commit, error) {
-	c, ok := r.commits[id]
+	idx, ok := r.index[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownCommit, id)
 	}
-	return c, nil
+	return r.log[idx], nil
 }
 
 // Blob returns the content stored under h; missing hashes return "".
-func (r *Repo) Blob(h Hash) string { return r.blobs[h] }
+func (r *Repo) Blob(h Hash) string {
+	if v, ok := r.blobs[h]; ok {
+		return v.Content()
+	}
+	return ""
+}
 
 // ReadTip returns the content of path at the current tip. The commit
 // generator uses it to base each synthetic edit on the file's current
@@ -205,10 +229,10 @@ func (r *Repo) Blob(h Hash) string { return r.blobs[h] }
 func (r *Repo) ReadTip(path string) (string, error) { return r.tip.Read(path) }
 
 // Len returns the number of commits including the root.
-func (r *Repo) Len() int { return len(r.order) }
+func (r *Repo) Len() int { return len(r.log) }
 
 // Head returns the ID of the most recent commit.
-func (r *Repo) Head() string { return r.order[len(r.order)-1] }
+func (r *Repo) Head() string { return r.log[len(r.log)-1].ID }
 
 // Parent returns the ID of the commit immediately before id in history
 // order, or "" when id is the root commit. This is the seed position a
@@ -221,7 +245,7 @@ func (r *Repo) Parent(id string) (string, error) {
 	if idx == 0 {
 		return "", nil
 	}
-	return r.order[idx-1], nil
+	return r.log[idx-1].ID, nil
 }
 
 // Since returns every commit ID strictly after `id` in history order,
@@ -233,9 +257,35 @@ func (r *Repo) Since(id string) ([]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownCommit, id)
 	}
-	out := make([]string, len(r.order)-idx-1)
-	copy(out, r.order[idx+1:])
-	return out, nil
+	return r.ids(idx+1, len(r.log)), nil
+}
+
+// Range returns the IDs of the commits after from, up to and including
+// to, oldest first: the commits a follower at from applies to reach to.
+// It is empty when to is not after from, and copies only the IDs it
+// returns.
+func (r *Repo) Range(from, to string) ([]string, error) {
+	fi, ok := r.index[from]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownCommit, from)
+	}
+	ti, ok := r.index[to]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownCommit, to)
+	}
+	if ti <= fi {
+		return nil, nil
+	}
+	return r.ids(fi+1, ti+1), nil
+}
+
+// ids returns the IDs of the commits at indexes [lo, hi).
+func (r *Repo) ids(lo, hi int) []string {
+	out := make([]string, 0, hi-lo)
+	for _, c := range r.log[lo:hi] {
+		out = append(out, c.ID)
+	}
+	return out
 }
 
 // LogOptions mirror the git-log filters used by the paper's evaluation.
@@ -260,8 +310,7 @@ func (r *Repo) Between(fromTag, toTag string, opts LogOptions) ([]string, error)
 		return nil, fmt.Errorf("vcs: tag %s is newer than %s", fromTag, toTag)
 	}
 	var out []string
-	for i := fi + 1; i <= ti; i++ {
-		c := r.commits[r.order[i]]
+	for _, c := range r.log[fi+1 : ti+1] {
 		if opts.NoMerges && c.IsMerge {
 			continue
 		}
@@ -287,26 +336,41 @@ func onlyModifies(c *Commit) bool {
 
 // CheckoutTree returns a fresh tree holding the snapshot as of commit id
 // (after applying it), equivalent to `git reset --hard id` into a clean
-// working copy.
+// working copy. It clones the nearest checkpoint and replays the commits
+// after it, so at most checkpointEvery-1 commits replay.
 func (r *Repo) CheckoutTree(id string) (*fstree.Tree, error) {
 	idx, ok := r.index[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownCommit, id)
 	}
-	// NewRepo and Commit keep a checkpoint at every multiple of
-	// checkpointEvery, so at most checkpointEvery-1 commits replay.
 	t := r.checkpoints[idx/checkpointEvery].Clone()
-	for i := idx - idx%checkpointEvery + 1; i <= idx; i++ {
-		for _, ch := range r.commits[r.order[i]].Changes {
-			if ch.New == "" {
-				// Deletions of files missing from the checkpoint are no-ops.
-				_ = t.Remove(ch.Path)
-				continue
-			}
-			t.Write(ch.Path, r.blobs[ch.New])
-		}
+	for _, c := range r.log[idx-idx%checkpointEvery+1 : idx+1] {
+		replay(t, c)
 	}
 	return t, nil
+}
+
+// Apply applies commit id's changes to t and returns the commit. Applied
+// to a checkout of id's parent, it turns it into a checkout of id.
+func (r *Repo) Apply(t *fstree.Tree, id string) (*Commit, error) {
+	c, err := r.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	replay(t, c)
+	return c, nil
+}
+
+// replay writes c's versions into t and removes the files c deletes.
+func replay(t *fstree.Tree, c *Commit) {
+	for i, ch := range c.Changes {
+		if v := c.versions[i]; v != nil {
+			t.WriteVersion(ch.Path, v)
+			continue
+		}
+		// Deletions of files missing from t are no-ops.
+		_ = t.Remove(ch.Path)
+	}
 }
 
 // FileDiffs returns the structured per-file diffs of a commit, sorted by
@@ -320,7 +384,7 @@ func (r *Repo) FileDiffs(id string) ([]textdiff.FileDiff, error) {
 	}
 	var out []textdiff.FileDiff
 	for _, ch := range c.Changes {
-		fd, changed := textdiff.Diff(ch.Path, ch.Path, r.blobs[ch.Old], r.blobs[ch.New])
+		fd, changed := textdiff.Diff(ch.Path, ch.Path, r.Blob(ch.Old), r.Blob(ch.New))
 		if changed {
 			out = append(out, fd)
 		}

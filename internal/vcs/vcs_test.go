@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -252,6 +253,29 @@ func TestParentAndSince(t *testing.T) {
 	}
 	if _, err := r.Since("deadbeef"); !errors.Is(err, ErrUnknownCommit) {
 		t.Errorf("Since unknown: err = %v", err)
+	}
+
+	// Range is Since cut at its second commit, and empty unless that
+	// commit is after the first.
+	for _, tc := range []struct {
+		from, to string
+		want     []string
+	}{
+		{root, id2, []string{id1, idMerge, id2}},
+		{root, idMerge, []string{id1, idMerge}},
+		{id1, id2, []string{idMerge, id2}},
+		{id1, id1, nil},
+		{id2, id1, nil},
+	} {
+		got, err := r.Range(tc.from, tc.to)
+		if err != nil || !slices.Equal(got, tc.want) {
+			t.Errorf("Range(%.7s, %.7s) = %v, %v; want %v", tc.from, tc.to, got, err, tc.want)
+		}
+	}
+	for _, ids := range [][2]string{{root, "deadbeef"}, {"deadbeef", id1}} {
+		if _, err := r.Range(ids[0], ids[1]); !errors.Is(err, ErrUnknownCommit) {
+			t.Errorf("Range(%.8s, %.8s): err = %v, want ErrUnknownCommit", ids[0], ids[1], err)
+		}
 	}
 }
 
@@ -505,7 +529,7 @@ func sameFiles(tr *fstree.Tree, want map[string]string) error {
 
 // TestCheckoutEqualsReplay: every commit's checkout equals a replay of the
 // history from the root, over adds, edits and deletes that cross several
-// checkpoints and fold the tip's overlay several times.
+// checkpoints and split and empty the tip's leaves.
 func TestCheckoutEqualsReplay(t *testing.T) {
 	n := checkpointEvery*5 + 7
 	r, ids, states := replayHistory(t, 3, n)
@@ -571,4 +595,60 @@ func TestConcurrentCheckouts(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestOneVersionPerBlob: the repository keeps one file version per blob.
+// Two checkouts of one commit, a checkout and the tip, and a checkout of a
+// parent advanced by Apply hold the same version pointer for every path,
+// so hashes and signatures computed on one are there for all; and files
+// with equal content share one version from the root commit on.
+func TestOneVersionPerBlob(t *testing.T) {
+	r, ids, _ := replayHistory(t, 9, checkpointEvery*3+5)
+	sameVersions := func(a, b *fstree.Tree) error {
+		if !slices.Equal(a.Paths(), b.Paths()) {
+			return fmt.Errorf("paths differ")
+		}
+		for _, p := range a.Paths() {
+			va, _ := a.Lookup(p)
+			vb, _ := b.Lookup(p)
+			if va != vb {
+				return fmt.Errorf("%s: versions %p and %p", p, va, vb)
+			}
+		}
+		return nil
+	}
+	for i := 1; i < len(ids); i += 7 {
+		a, _ := r.CheckoutTree(ids[i])
+		b, _ := r.CheckoutTree(ids[i])
+		if err := sameVersions(a, b); err != nil {
+			t.Fatalf("two checkouts of commit %d: %v", i, err)
+		}
+		parent, _ := r.CheckoutTree(ids[i-1])
+		if _, err := r.Apply(parent, ids[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := sameVersions(a, parent); err != nil {
+			t.Fatalf("checkout of commit %d and its parent's advanced by Apply: %v", i, err)
+		}
+	}
+	head, _ := r.CheckoutTree(r.Head())
+	if err := sameVersions(head, r.tip); err != nil {
+		t.Fatalf("checkout of the head and the tip: %v", err)
+	}
+
+	base := fstree.New()
+	base.Write("a.c", "int same;\n")
+	base.Write("b.c", "int same;\n")
+	r = NewRepo(base, sig("Root"))
+	r.Commit(sig("A"), "same again", map[string]*string{"c.c": strp("int same;\n")}, false)
+	tr, _ := r.CheckoutTree(r.Head())
+	va, _ := tr.Lookup("a.c")
+	for _, p := range []string{"b.c", "c.c"} {
+		if v, _ := tr.Lookup(p); v != va {
+			t.Errorf("%s holds version %p, a.c with equal content %p", p, v, va)
+		}
+	}
+	if _, err := r.Apply(tr, "deadbeef"); !errors.Is(err, ErrUnknownCommit) {
+		t.Errorf("Apply unknown: err = %v, want ErrUnknownCommit", err)
+	}
 }

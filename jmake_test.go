@@ -2,6 +2,7 @@ package jmake_test
 
 import (
 	"path"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -211,4 +212,65 @@ func TestCheckPatchTextCompositeCycle(t *testing.T) {
 		t.Fatalf("report has no outcome for %s: %+v", d.CFile, report.Files)
 	}
 	t.Skip("no single-file driver with a plain obj- rule at this seed")
+}
+
+// TestFacadeResultCacheCountsIntoSession checks 10 commits twice through
+// a session given a facade-built result cache, cold from NewResultCache
+// and from LoadResultCache over an empty directory, and requires the
+// session's registry to report exactly the cache's own counts.
+func TestFacadeResultCacheCountsIntoSession(t *testing.T) {
+	tree, man, err := jmake.GenerateKernel(7, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist, err := jmake.SynthesizeHistory(tree, man, 8, 0.008)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, _ := hist.Repo.Between("v4.3", "v4.4", jmake.ModifyingNonMerge)
+	if len(ids) < 10 {
+		t.Fatalf("window has %d commits, want at least 10", len(ids))
+	}
+	ids = ids[:10]
+	for name, cache := range map[string]*jmake.ResultCache{
+		"new":  jmake.NewResultCache(),
+		"load": jmake.LoadResultCache(t.TempDir()),
+	} {
+		base, err := hist.Repo.CheckoutTree(ids[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		session, err := jmake.NewSession(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		session.SetResultCache(cache)
+		for pass := 0; pass < 2; pass++ {
+			for _, id := range ids {
+				if _, err := jmake.CheckCommitWith(session, hist.Repo, id, jmake.Options{}); err != nil {
+					t.Fatalf("%s: CheckCommitWith(%s): %v", name, id, err)
+				}
+			}
+		}
+		stats, _ := session.ResultCacheStats()
+		if stats.MakeI.Hits == 0 || stats.MakeI.Misses == 0 {
+			t.Fatalf("%s: make_i %d hits / %d misses, want both > 0", name, stats.MakeI.Hits, stats.MakeI.Misses)
+		}
+		got := make(map[string]string)
+		for _, s := range session.Metrics().Snapshot() {
+			got[s.Name] = s.Value
+		}
+		for key, want := range map[string]uint64{
+			"result_cache_hits{stage=make_i}":         stats.MakeI.Hits,
+			"result_cache_misses{stage=make_i}":       stats.MakeI.Misses,
+			"result_cache_bytes_served{stage=make_i}": stats.MakeI.BytesServed,
+			"result_cache_hits{stage=make_o}":         stats.MakeO.Hits,
+			"result_cache_misses{stage=make_o}":       stats.MakeO.Misses,
+			"result_cache_bytes_served{stage=make_o}": stats.MakeO.BytesServed,
+		} {
+			if g := got[key]; g != strconv.FormatUint(want, 10) {
+				t.Errorf("%s: session registry %s = %q, cache says %d", name, key, g, want)
+			}
+		}
+	}
 }
