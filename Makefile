@@ -73,17 +73,23 @@ audit-smoke:
 # parser, at top level and inside `if X`, exactly as a fresh parse, and
 # comment stripping must return what the byte-copying reference returns,
 # starting inside and outside a block comment.
+# -fuzzminimizetime 10x caps the minimization of each new input at 10
+# executions. The default (60 s) is longer than a target's budget, so on
+# a cold fuzz cache a slow target such as FuzzTreeOps spent nearly all of
+# its 10 s minimizing the first input it found (7 executions, against 92
+# with the cap, on a 2-vCPU host). A crasher is still written to
+# testdata/fuzz, only less minimized.
 fuzz:
-	$(GO) test ./internal/presence/ -run '^$$' -fuzz FuzzPresenceParse -fuzztime 10s
-	$(GO) test ./internal/presence/ -run '^$$' -fuzz FuzzDecide -fuzztime 10s
-	$(GO) test ./internal/presence/ -run '^$$' -fuzz FuzzStaticDynamicAgree -fuzztime 10s
-	$(GO) test ./internal/kbuild/ -run '^$$' -fuzz FuzzParseMakefile -fuzztime 10s
-	$(GO) test ./internal/fstree/ -run '^$$' -fuzz FuzzTreeOps -fuzztime 10s
-	$(GO) test ./internal/cpp/ -run '^$$' -fuzz FuzzPreprocess -fuzztime 10s
-	$(GO) test ./internal/cc/ -run '^$$' -fuzz FuzzCompile -fuzztime 10s
-	$(GO) test ./internal/textdiff/ -run '^$$' -fuzz FuzzParsePatch -fuzztime 10s
-	$(GO) test ./internal/kconfig/ -run '^$$' -fuzz FuzzKconfigParse -fuzztime 10s
-	$(GO) test ./internal/csrc/ -run '^$$' -fuzz FuzzStripComments -fuzztime 10s
+	$(GO) test ./internal/presence/ -run '^$$' -fuzz FuzzPresenceParse -fuzztime 10s -fuzzminimizetime 10x
+	$(GO) test ./internal/presence/ -run '^$$' -fuzz FuzzDecide -fuzztime 10s -fuzzminimizetime 10x
+	$(GO) test ./internal/presence/ -run '^$$' -fuzz FuzzStaticDynamicAgree -fuzztime 10s -fuzzminimizetime 10x
+	$(GO) test ./internal/kbuild/ -run '^$$' -fuzz FuzzParseMakefile -fuzztime 10s -fuzzminimizetime 10x
+	$(GO) test ./internal/fstree/ -run '^$$' -fuzz FuzzTreeOps -fuzztime 10s -fuzzminimizetime 10x
+	$(GO) test ./internal/cpp/ -run '^$$' -fuzz FuzzPreprocess -fuzztime 10s -fuzzminimizetime 10x
+	$(GO) test ./internal/cc/ -run '^$$' -fuzz FuzzCompile -fuzztime 10s -fuzzminimizetime 10x
+	$(GO) test ./internal/textdiff/ -run '^$$' -fuzz FuzzParsePatch -fuzztime 10s -fuzzminimizetime 10x
+	$(GO) test ./internal/kconfig/ -run '^$$' -fuzz FuzzKconfigParse -fuzztime 10s -fuzzminimizetime 10x
+	$(GO) test ./internal/csrc/ -run '^$$' -fuzz FuzzStripComments -fuzztime 10s -fuzzminimizetime 10x
 
 bench-witness:
 	$(GO) test ./internal/core/ -run '^$$' -bench BenchmarkWitnessedIn -benchmem

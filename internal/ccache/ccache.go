@@ -16,8 +16,9 @@
 // include, a different CONFIG_ valuation, different predefined macros
 // (so allyes vs allmod vs MODULE=1 never cross-contaminate), or a
 // different architecture. Kbuild reachability is deliberately NOT cached
-// — kbuild re-walks Makefiles on every call — so Kbuild gate edits take
-// effect live and Makefiles stay out of the manifest.
+// here — kbuild reads it from a descent memo that lives for one snapshot
+// (kbuild.MakefileCache) — so Kbuild gate edits take effect in the next
+// snapshot and Makefiles stay out of the manifest.
 //
 // The root path itself is excluded from the fingerprint so that
 // identical-content translation units dedupe: a successful .i entry can

@@ -20,7 +20,9 @@ import (
 	"jmake/internal/vclock"
 )
 
-// Checker runs JMake against one post-patch source snapshot.
+// Checker runs JMake against one post-patch source snapshot. The
+// snapshot's makefiles must not change while the checker is in use: its
+// builders and static pre-pass share one memo of the Kbuild descent.
 type Checker struct {
 	tree    *fstree.Tree
 	model   *vclock.Model
@@ -37,9 +39,10 @@ type Checker struct {
 	// Kconfig knowledge, set-up marks and saved-effective-time ledgers.
 	warm *warmState
 
-	// gates memoizes the Kbuild descent of the checker's tree for the
-	// static pre-pass, created on first use.
-	gates *kbuild.MakefileCache
+	// makefiles memoizes the Kbuild descent of the checker's tree for
+	// every builder and the static pre-pass: the mutated tree differs from
+	// it only in .c and .h files, which no descent reads.
+	makefiles *kbuild.MakefileCache
 
 	// run holds the per-patch resilience state (fault injector, budget
 	// ledger, circuit breaker); CheckPatch resets it for every patch.
@@ -119,6 +122,9 @@ type fileState struct {
 	// witness stamp this file's coverage statistics.
 	validatedOK bool
 	lastErr     error
+	// arches are the file's candidate architectures (selectArches), for
+	// .c files only.
+	arches []ArchChoice
 	// pres is the file's presence analysis, built on first use (presenceOf).
 	pres *presence.File
 	// static is the presence pre-pass result (nil without
@@ -127,16 +133,12 @@ type fileState struct {
 }
 
 // presenceOf returns the presence analysis of the file's post-patch
-// content, built once and shared by the prescan, the static pre-pass,
-// escape classification and coverage synthesis. nil when the file cannot
-// be read.
-func (c *Checker) presenceOf(fs *fileState) *presence.File {
+// content, built once from Mutate's line analysis and shared by the
+// prescan, the static pre-pass, escape classification and coverage
+// synthesis.
+func presenceOf(fs *fileState) *presence.File {
 	if fs.pres == nil {
-		content, err := c.tree.Read(fs.path)
-		if err != nil {
-			return nil
-		}
-		fs.pres = presence.Analyze(fs.path, content)
+		fs.pres = presence.FromLines(fs.path, fs.res.src)
 	}
 	return fs.pres
 }
@@ -257,6 +259,9 @@ func (c *Checker) CheckPatch(commit string, fds []textdiff.FileDiff) (*PatchRepo
 	// outcome values).
 	rebind(report, cFiles)
 	rebind(report, hFiles)
+	for _, fs := range cFiles {
+		fs.arches = c.selectArches(fs.path, true)
+	}
 
 	// §VII extension: diagnose doomed regions from context alone, before
 	// spending any build time.
@@ -479,7 +484,8 @@ func (c *Checker) newBuilders(report *PatchReport, mutatedTree *fstree.Tree, arc
 }
 
 // newPair builds the builder pair for one (arch, config), both sharing the
-// checker's token cache, fault injector, result cache and recorder.
+// checker's token cache, fault injector, result cache, descent memo and
+// recorder.
 func (c *Checker) newPair(mutatedTree *fstree.Tree, arch *kbuild.Arch, cfg *kconfig.Config) (*builderPair, error) {
 	var bs [2]*kbuild.Builder
 	for i, tree := range []*fstree.Tree{mutatedTree, c.tree} {
@@ -487,7 +493,7 @@ func (c *Checker) newPair(mutatedTree *fstree.Tree, arch *kbuild.Arch, cfg *kcon
 		if err != nil {
 			return nil, err
 		}
-		b.Cache, b.Faults, b.Results, b.Trace = c.tokens, c.run.inj, c.results, c.rec
+		b.Cache, b.Faults, b.Results, b.Makefiles, b.Trace = c.tokens, c.run.inj, c.results, c.makefiles, c.rec
 		bs[i] = b
 	}
 	return &builderPair{ib: bs[0], ob: bs[1]}, nil
@@ -500,11 +506,10 @@ func (c *Checker) newPair(mutatedTree *fstree.Tree, arch *kbuild.Arch, cfg *kcon
 func (c *Checker) processCFiles(report *PatchReport, mutatedTree *fstree.Tree, cFiles, hFiles []*fileState) {
 	perFile := make([][]ArchChoice, 0, len(cFiles))
 	for _, fs := range cFiles {
-		choices := c.selectArches(fs.path, true)
-		if choices == nil {
+		if fs.arches == nil {
 			fs.lastErr = fmt.Errorf("unsupported architecture for %s", fs.path)
 		}
-		perFile = append(perFile, choices)
+		perFile = append(perFile, fs.arches)
 	}
 	choices := mergeArchChoices(perFile)
 	if c.opts.StaticPresence {

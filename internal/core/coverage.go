@@ -92,10 +92,7 @@ func (c *Checker) processCoverageConfigs(report *PatchReport, mutatedTree *fstre
 		if len(pending) == 0 {
 			continue
 		}
-		pf := c.presenceOf(fs)
-		if pf == nil {
-			continue
-		}
+		pf := presenceOf(fs)
 		for _, m := range pending {
 			if budget <= 0 || c.run.halted() {
 				break

@@ -14,10 +14,7 @@ import (
 // presence formulas of the changed line's enclosing branches are read
 // against the Kconfig database and the host allyesconfig valuation.
 func (c *Checker) classifyEscapes(fs *fileState) []Escape {
-	pf := c.presenceOf(fs)
-	if pf == nil {
-		return nil
-	}
+	pf := presenceOf(fs)
 	host := newHostAllyes(c)
 	var out []Escape
 	for _, m := range fs.pending() {

@@ -30,6 +30,11 @@ func TestFinalizePrecedence(t *testing.T) {
 	pending := func(file string) *mutEntry {
 		return &mutEntry{mut: Mutation{ID: `@"other:` + file + `:2"`, CoversLines: []int{2}}, file: file}
 	}
+	// Escape classification reads the line analysis Mutate made.
+	netdrv, err := fixtureTree().Read("drivers/net/netdrv.c")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name      string
@@ -65,7 +70,7 @@ func TestFinalizePrecedence(t *testing.T) {
 		},
 		{
 			name: "escapes when compiled with pending", exhausted: false,
-			fs: &fileState{path: "drivers/net/netdrv.c", kind: CFile,
+			fs: &fileState{path: "drivers/net/netdrv.c", kind: CFile, res: Mutate("drivers/net/netdrv.c", netdrv, []int{1, 2}),
 				muts: []*mutEntry{covered("drivers/net/netdrv.c"), pending("drivers/net/netdrv.c")}, compiledOK: true},
 			want: StatusEscapes,
 		},

@@ -16,6 +16,10 @@ import (
 // compilations per header).
 const headerChunk = 10
 
+// headerCandidateCap bounds how many candidate .c files are tried per
+// header.
+const headerCandidateCap = 120
+
 // candidate is one .c file that may exercise a changed header.
 type candidate struct {
 	path     string
@@ -97,8 +101,8 @@ func (c *Checker) processHFile(report *PatchReport, mutatedTree *fstree.Tree, hf
 	// Above the threshold, restrict to allyesconfig only (paper: avoids
 	// false positives at a bounded cost; threshold is user-configurable).
 	useDefconfigs := len(cands) <= c.opts.HCandidateLimit
-	if len(cands) > c.opts.HCandidateCap {
-		cands = cands[:c.opts.HCandidateCap]
+	if len(cands) > headerCandidateCap {
+		cands = cands[:headerCandidateCap]
 	}
 
 	for start := 0; start < len(cands) && len(hf.pendingLive()) > 0; start += headerChunk {

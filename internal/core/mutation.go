@@ -51,6 +51,10 @@ type MutateResult struct {
 	// ChangedMacros lists macro names whose definitions were changed, used
 	// as hints when hunting .c files for a changed header (paper §III-E).
 	ChangedMacros []string
+
+	// src is the line analysis of the unmutated content that placed the
+	// mutations; the checker builds the file's presence formulas from it.
+	src *csrc.File
 }
 
 // Mutate inserts mutations into content (the post-patch file at path) so
@@ -120,7 +124,7 @@ func Mutate(path, content string, changedLines []int) MutateResult {
 	}
 
 	if !anyCode {
-		return MutateResult{Content: content, CommentOnly: len(lines) > 0, ChangedMacros: changedMacros}
+		return MutateResult{Content: content, CommentOnly: len(lines) > 0, ChangedMacros: changedMacros, src: f}
 	}
 
 	// Build insertions, applied bottom-up so line numbers stay valid.
@@ -203,6 +207,7 @@ func Mutate(path, content string, changedLines []int) MutateResult {
 		Content:       strings.Join(outLines, "\n") + "\n",
 		Mutations:     muts,
 		ChangedMacros: changedMacros,
+		src:           f,
 	}
 }
 

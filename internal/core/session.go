@@ -247,16 +247,17 @@ func sortedKeys(m map[string]bool) []string {
 // fault sequences and same-seed runs stay deterministic.
 func (s *Session) Checker(tree *fstree.Tree, model *vclock.Model, opts Options) *Checker {
 	return &Checker{
-		tree:    tree,
-		model:   model,
-		opts:    opts.withDefaults(),
-		meta:    s.meta,
-		arches:  s.arches,
-		archIx:  s.archIx,
-		configs: s.configs,
-		tokens:  s.tokens,
-		results: s.results,
-		warm:    s.warm,
+		tree:      tree,
+		model:     model,
+		opts:      opts.withDefaults(),
+		meta:      s.meta,
+		arches:    s.arches,
+		archIx:    s.archIx,
+		configs:   s.configs,
+		tokens:    s.tokens,
+		results:   s.results,
+		warm:      s.warm,
+		makefiles: kbuild.NewMakefileCache(tree),
 	}
 }
 

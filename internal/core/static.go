@@ -42,13 +42,14 @@ type staticInfo struct {
 	predCount map[string]int
 }
 
-// archGate pairs an architecture's Kconfig tree (nil when it failed to
-// parse) with the file's Kbuild gate under that architecture (nil when the
-// Makefile walk failed).
+// archGate pairs an architecture's Kconfig tree and its formula model
+// (both nil when the tree failed to parse) with the file's Kbuild gate
+// under that architecture (nil when the Makefile walk failed).
 type archGate struct {
-	arch *kbuild.Arch
-	kt   *kconfig.Tree
-	gate *kbuild.Gate
+	arch  *kbuild.Arch
+	kt    *kconfig.Tree
+	model *presence.Model
+	gate  *kbuild.Gate
 }
 
 // staticPrepass analyzes every changed file, marks dead mutations, counts
@@ -76,10 +77,7 @@ func (c *Checker) staticPrepass(report *PatchReport, cFiles, hFiles []*fileState
 // mutations dead when unsatisfiable under every candidate architecture, and
 // predicts per-architecture allyesconfig visibility for the live ones.
 func (c *Checker) staticAnalyzeC(fs *fileState) {
-	pf := c.presenceOf(fs)
-	if pf == nil {
-		return
-	}
+	pf := presenceOf(fs)
 	si := &staticInfo{
 		predict:   make(map[string]map[string]bool),
 		predCount: make(map[string]int),
@@ -88,13 +86,9 @@ func (c *Checker) staticAnalyzeC(fs *fileState) {
 
 	// The candidate architectures are exactly the ones the dynamic loop
 	// would try (§III-C); a witness can only ever come from those.
-	var archNames []string
-	seen := make(map[string]bool)
-	for _, ac := range c.selectArches(fs.path, true) {
-		if !seen[ac.Arch] {
-			seen[ac.Arch] = true
-			archNames = append(archNames, ac.Arch)
-		}
+	archNames := make([]string, len(fs.arches))
+	for i, ac := range fs.arches {
+		archNames[i] = ac.Arch
 	}
 	ags := c.archGates(fs.path, archNames, true)
 
@@ -112,10 +106,7 @@ func (c *Checker) staticAnalyzeC(fs *fileState) {
 // alone). Predictions are not computed: which candidate .c witnesses a
 // header is not derivable from the header's own conditions.
 func (c *Checker) staticAnalyzeH(fs *fileState) {
-	pf := c.presenceOf(fs)
-	if pf == nil {
-		return
-	}
+	pf := presenceOf(fs)
 	fs.static = &staticInfo{
 		predict:   make(map[string]map[string]bool),
 		predCount: make(map[string]int),
@@ -148,11 +139,9 @@ func (c *Checker) headerArches(path string) []string {
 }
 
 // archGates resolves each architecture's Kconfig tree from the session's
-// parse cache and (for gated .c files) the file's Kbuild gate under it.
+// parse cache, with a formula model over it, and (for gated .c files) the
+// file's Kbuild gate under it.
 func (c *Checker) archGates(path string, archNames []string, gated bool) []archGate {
-	if gated && c.gates == nil {
-		c.gates = kbuild.NewMakefileCache(c.tree)
-	}
 	var out []archGate
 	for _, an := range archNames {
 		arch := c.arches[an]
@@ -160,9 +149,12 @@ func (c *Checker) archGates(path string, archNames []string, gated bool) []archG
 			continue
 		}
 		ag := archGate{arch: arch}
-		ag.kt, _ = c.configs.KconfigTree(c.tree, arch) // a failed parse leaves kt nil: alive
+		// A failed parse leaves kt and model nil: alive.
+		if kt, err := c.configs.KconfigTree(c.tree, arch); err == nil {
+			ag.kt, ag.model = kt, presence.NewModel(kt)
+		}
 		if gated {
-			if g, err := c.gates.FileGate(path, an); err == nil {
+			if g, err := c.makefiles.FileGate(path, an); err == nil {
 				ag.gate = &g
 			}
 		}
@@ -187,14 +179,14 @@ func condDead(cond presence.Formula, ags []archGate) bool {
 
 // archAlive reports whether cond could hold under some configuration of one
 // architecture: the condition is conjoined with the file's Kbuild gate and
-// the Kconfig constraints over its symbols (presence.ArchFormula), then
-// checked for satisfiability. Any gap in knowledge — a parse failure, or a
-// formula wider than the SAT bound — errs toward alive.
+// the Kconfig constraints over its symbols (presence.Model.ArchFormula),
+// then checked for satisfiability. Any gap in knowledge — a parse failure,
+// or a formula wider than the SAT bound — errs toward alive.
 func archAlive(ag archGate, cond presence.Formula) bool {
-	if ag.kt == nil {
+	if ag.model == nil {
 		return true
 	}
-	return presence.Decide(presence.ArchFormula(ag.kt, cond, ag.gate)) != presence.SatNo
+	return presence.Decide(ag.model.ArchFormula(cond, ag.gate)) != presence.SatNo
 }
 
 // predictArch evaluates each live mutation's condition under one

@@ -296,9 +296,6 @@ type Options struct {
 	// processing uses only allyesconfig (paper §III-E: 100,
 	// user-configurable).
 	HCandidateLimit int
-	// HCandidateCap bounds how many candidate .c files are tried per
-	// header.
-	HCandidateCap int
 	// TryAllModConfig additionally tries allmodconfig for every candidate
 	// architecture, covering `#ifdef MODULE` regions at the cost of nearly
 	// doubling the configurations tried (the paper's proposed extension,
@@ -358,9 +355,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.HCandidateLimit <= 0 {
 		o.HCandidateLimit = 100
-	}
-	if o.HCandidateCap <= 0 {
-		o.HCandidateCap = 120
 	}
 	switch {
 	case o.MaxRetries == 0:

@@ -55,9 +55,6 @@ type CondFrame struct {
 	// identifier of #ifdef/#ifndef. For an #else frame, Arg is the argument
 	// of the matching opening directive.
 	Arg string
-	// OpenKind is the kind of the original opening directive (meaningful
-	// for Else/Elif frames).
-	OpenKind CondKind
 	// Line is the 1-based line of the directive that opened this branch.
 	Line int
 	// Prior lists every earlier branch of the same chain, outermost-opening
@@ -184,19 +181,19 @@ func Analyze(content string) *File {
 				}
 			case "if":
 				region = li.Num
-				stack = append(stack, CondFrame{Kind: CondIf, OpenKind: CondIf, Arg: arg, Line: li.Num})
+				stack = append(stack, CondFrame{Kind: CondIf, Arg: arg, Line: li.Num})
 			case "ifdef":
 				region = li.Num
-				stack = append(stack, CondFrame{Kind: CondIfdef, OpenKind: CondIfdef, Arg: arg, Line: li.Num})
+				stack = append(stack, CondFrame{Kind: CondIfdef, Arg: arg, Line: li.Num})
 			case "ifndef":
 				region = li.Num
-				stack = append(stack, CondFrame{Kind: CondIfndef, OpenKind: CondIfndef, Arg: arg, Line: li.Num})
+				stack = append(stack, CondFrame{Kind: CondIfndef, Arg: arg, Line: li.Num})
 			case "elif":
 				region = li.Num
 				if len(stack) > 0 {
 					top := stack[len(stack)-1]
 					stack = append(stack[:len(stack)-1:len(stack)-1],
-						CondFrame{Kind: CondElif, OpenKind: top.OpenKind, Arg: arg, Line: li.Num,
+						CondFrame{Kind: CondElif, Arg: arg, Line: li.Num,
 							Prior: appendBranch(top.Prior, top.Kind, top.Arg)})
 				}
 			case "else":
@@ -204,7 +201,7 @@ func Analyze(content string) *File {
 				if len(stack) > 0 {
 					top := stack[len(stack)-1]
 					stack = append(stack[:len(stack)-1:len(stack)-1],
-						CondFrame{Kind: CondElse, OpenKind: top.OpenKind, Arg: top.Arg, Line: li.Num,
+						CondFrame{Kind: CondElse, Arg: top.Arg, Line: li.Num,
 							Prior: appendBranch(top.Prior, top.Kind, top.Arg)})
 				}
 			case "endif":

@@ -110,8 +110,7 @@ func TestConditionalStack(t *testing.T) {
 	}
 	// Line 17 is under the #else of CONFIG_FOO.
 	li = line(t, f, 17)
-	if len(li.Conds) != 1 || li.Conds[0].Kind != CondElse || li.Conds[0].Arg != "CONFIG_FOO" ||
-		li.Conds[0].OpenKind != CondIfdef {
+	if len(li.Conds) != 1 || li.Conds[0].Kind != CondElse || li.Conds[0].Arg != "CONFIG_FOO" {
 		t.Errorf("line 17 conds = %+v", li.Conds)
 	}
 	// Line 21 is under the #if defined(...) expression.
@@ -295,7 +294,7 @@ func TestElifChainPriors(t *testing.T) {
 		t.Errorf("third frame priors: %+v", third.Prior)
 	}
 	last := fr(8)
-	if last.Kind != CondElse || last.OpenKind != CondIfdef {
+	if last.Kind != CondElse {
 		t.Errorf("else frame: %+v", last)
 	}
 	wantElse := []CondBranch{{CondIfdef, "A"}, {CondElif, "defined(B)"}, {CondElif, "defined(C)"}}

@@ -195,8 +195,10 @@ func (ix *Index) Dependents(tree *fstree.Tree, cache *ccache.Cache, changed []st
 		}
 	}
 
-	// Manifest edges: exact observed closures from real compiles.
-	if cache != nil {
+	// Manifest edges: exact observed closures from real compiles. The
+	// scan answers only for the headers reached above, so it is skipped
+	// when there are none.
+	if cache != nil && len(visited) > 0 {
 		hdrs := make([]string, 0, len(visited))
 		for h := range visited {
 			hdrs = append(hdrs, h)

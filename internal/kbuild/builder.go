@@ -86,6 +86,13 @@ type Builder struct {
 	// rolled before any probe and are never stored or served. Set it
 	// before the first MakeI/MakeO call.
 	Results *ccache.Cache
+	// Makefiles memoizes the Kbuild descent Reachable evaluates. Builders
+	// over trees with the same makefiles may share one, since a descent
+	// reads nothing else: JMake's pair of builders over the mutated and
+	// the pristine tree of one check share their checker's. nil: the
+	// builder makes its own over Tree on first use. Set it before the
+	// first Reachable, MakeI or MakeO call.
+	Makefiles *MakefileCache
 	// Trace optionally records every make invocation as a virtual-time
 	// span (internal/trace). Spans carry only cache-state- and worker-
 	// invariant attributes: probe identities (for post-merge cache-outcome
@@ -164,7 +171,10 @@ func NewBuilder(tree *fstree.Tree, arch *Arch, cfg *kconfig.Config, meta *Meta, 
 // directory wins over a structural error further down the walk.
 func (b *Builder) Reachable(file string) (kconfig.Value, error) {
 	file = fstree.Clean(file)
-	d := walk(b.Tree, file, b.Arch.Name)
+	if b.Makefiles == nil {
+		b.Makefiles = NewMakefileCache(b.Tree)
+	}
+	d := b.Makefiles.walk(file, b.Arch.Name)
 	for _, s := range d.dirs {
 		if b.ruleValue(s.rule) == kconfig.No {
 			return kconfig.No, fmt.Errorf("%w: %s disabled at %s", ErrNotReachable, file, s.mk)
@@ -300,8 +310,9 @@ func (b *Builder) MakeI(files []string) ([]IFile, time.Duration) {
 			results = append(results, r)
 			continue
 		}
-		// Reachability is always computed live (never cached): Kbuild gate
-		// and Makefile edits must take effect immediately.
+		// Reachability never enters the result cache: it is read from
+		// this snapshot's descent memo, so a Kbuild gate or Makefile edit
+		// takes effect in the first snapshot that holds it.
 		v, err := b.Reachable(r.Path)
 		if err != nil {
 			r.Err = err

@@ -42,16 +42,10 @@ type reach struct {
 	err      error
 }
 
-// walk follows the descent to a cleaned file path without memoizing. It
-// and MakefileCache.walk are the only descent walk: Builder.Reachable
-// evaluates it under a configuration, FileGate collects its variables.
-func walk(t *fstree.Tree, file, archName string) descent {
-	c := MakefileCache{T: t}
-	return c.walk(file, archName)
-}
-
 // walk follows the descent to a cleaned file path: the descent to its
-// directory, then the file's own object rule.
+// directory, then the file's own object rule. It is the only descent walk:
+// Builder.Reachable evaluates it under a configuration, FileGate collects
+// its variables.
 func (c *MakefileCache) walk(file, archName string) descent {
 	d := descent{obj: strings.TrimSuffix(path.Base(file), ".c") + ".o"}
 	dir := path.Dir(file)
@@ -77,12 +71,8 @@ func (c *MakefileCache) walk(file, archName string) descent {
 	return d
 }
 
-// reach returns the descent to dir, from the memo when the cache keeps
-// one.
+// reach returns the descent to dir, computing it on the first request.
 func (c *MakefileCache) reach(dir, archName string) reach {
-	if c.memo == nil {
-		return c.descend(dir, archName)
-	}
 	key := dirKey{dir: dir, arch: archName}
 	c.mu.Lock()
 	r, ok := c.memo[key]
@@ -154,29 +144,20 @@ type Gate struct {
 	OwnModule bool
 }
 
-// FileGate collects every obj-$(CONFIG_X) condition on the descent chain of
-// a .c file. An error means the chain is broken (missing Makefile, unlisted
-// directory or object): no gate is derivable and callers must not treat the
-// file as unconditionally built. It walks without memoizing; callers
-// asking for many files of one snapshot share a MakefileCache.
-func FileGate(t *fstree.Tree, file, archName string) (Gate, error) {
-	c := MakefileCache{T: t}
-	return c.FileGate(file, archName)
-}
-
 // MakefileCache memoizes the Kbuild descent of one tree snapshot: for each
 // directory and architecture a walk reaches, the directory rules from the
 // root Makefile down and the directory's own makefile, each built on the
 // entry of the directory before it. Every makefile a walk needs is then
 // loaded once per architecture, however many files share the directory.
-// The tree must not change while the cache is in use. A MakefileCache is
-// safe for concurrent use; concurrent first walks of one directory may
-// both compute it, with equal results.
+// The tree's makefiles must not change while the cache is in use; its
+// other files may, since no descent reads them. A MakefileCache is safe
+// for concurrent use; concurrent first walks of one directory may both
+// compute it, with equal results. Make one with NewMakefileCache.
 type MakefileCache struct {
 	T *fstree.Tree
 
 	mu   sync.Mutex
-	memo map[dirKey]reach // nil: walk without memoizing
+	memo map[dirKey]reach
 }
 
 // dirKey identifies one memoized descent.
@@ -187,7 +168,10 @@ func NewMakefileCache(t *fstree.Tree) *MakefileCache {
 	return &MakefileCache{T: t, memo: make(map[dirKey]reach)}
 }
 
-// FileGate is the package-level FileGate through the cache's memo.
+// FileGate collects every obj-$(CONFIG_X) condition on the descent chain of
+// a .c file. An error means the chain is broken (missing Makefile, unlisted
+// directory or object): no gate is derivable and callers must not treat the
+// file as unconditionally built.
 func (c *MakefileCache) FileGate(file, archName string) (Gate, error) {
 	d := c.walk(fstree.Clean(file), archName)
 	if d.err != nil {

@@ -61,6 +61,12 @@ func referenceWalk(t *fstree.Tree, file, archName string) descent {
 	return d
 }
 
+// fileGate is MakefileCache.FileGate through a fresh cache: one descent
+// that shares nothing with any other walk.
+func fileGate(t *fstree.Tree, file, archName string) (Gate, error) {
+	return NewMakefileCache(t).FileGate(file, archName)
+}
+
 // referenceFileGate is FileGate over referenceWalk.
 func referenceFileGate(t *fstree.Tree, file, archName string) (Gate, error) {
 	d := referenceWalk(t, fstree.Clean(file), archName)
@@ -132,8 +138,8 @@ func descentCorpora(t *testing.T) map[string]*fstree.Tree {
 // architecture of each corpus, broken architectures and broken descent
 // chains included, the walk Builder.Reachable evaluates equals the
 // pre-memo walk, rules, makefiles and error text alike, and FileGate
-// through one shared MakefileCache answers exactly as the one-shot
-// FileGate and as the pre-memo walk: the same gate, or the same error
+// through one shared MakefileCache answers exactly as FileGate through a
+// fresh cache and as the pre-memo walk: the same gate, or the same error
 // text. Four goroutines share the cache, in
 // different file orders, so `go test -race` checks its memo too.
 func TestMakefileCacheMatchesWalk(t *testing.T) {
@@ -153,12 +159,12 @@ func TestMakefileCacheMatchesWalk(t *testing.T) {
 		want := make(map[string]string)
 		for _, a := range arches {
 			for _, f := range files {
-				if got, ref := descentText(walk(tr, fstree.Clean(f), a)), descentText(referenceWalk(tr, fstree.Clean(f), a)); got != ref {
+				if got, ref := descentText(NewMakefileCache(tr).walk(fstree.Clean(f), a)), descentText(referenceWalk(tr, fstree.Clean(f), a)); got != ref {
 					t.Fatalf("%s [%s] %s: walk %s, pre-memo walk %s", name, a, f, got, ref)
 				}
 				ref := gateResult(referenceFileGate(tr, f, a))
-				if one := gateResult(FileGate(tr, f, a)); one != ref {
-					t.Fatalf("%s [%s] %s: one-shot FileGate %s, pre-memo walk %s", name, a, f, one, ref)
+				if one := gateResult(fileGate(tr, f, a)); one != ref {
+					t.Fatalf("%s [%s] %s: fresh-cache FileGate %s, pre-memo walk %s", name, a, f, one, ref)
 				}
 				want[a+"|"+f] = ref
 			}
@@ -178,7 +184,7 @@ func TestMakefileCacheMatchesWalk(t *testing.T) {
 					a := arches[(i+w)%len(arches)]
 					for _, f := range order {
 						if got := gateResult(mc.FileGate(f, a)); got != want[a+"|"+f] {
-							errs[w] = fmt.Sprintf("[%s] %s: MakefileCache.FileGate %s, one-shot %s", a, f, got, want[a+"|"+f])
+							errs[w] = fmt.Sprintf("[%s] %s: shared-cache FileGate %s, fresh cache %s", a, f, got, want[a+"|"+f])
 							return
 						}
 					}

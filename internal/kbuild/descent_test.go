@@ -69,7 +69,7 @@ func TestReachableErrorTexts(t *testing.T) {
 // exactly when the file's own rule is obj-m or its own variable is m.
 func checkWalkAgreement(t *testing.T, b *Builder, file string) {
 	t.Helper()
-	gate, gerr := FileGate(b.Tree, file, b.Arch.Name)
+	gate, gerr := fileGate(b.Tree, file, b.Arch.Name)
 	v, err := b.Reachable(file)
 	enabled := gerr == nil
 	if enabled {
@@ -124,7 +124,7 @@ func TestReachableAgreesWithFileGate(t *testing.T) {
 		}
 		varSet := make(map[string]bool)
 		for _, f := range files {
-			if g, err := FileGate(tr, f, name); err == nil {
+			if g, err := fileGate(tr, f, name); err == nil {
 				for _, v := range g.Vars {
 					varSet[v] = true
 				}
@@ -176,7 +176,7 @@ func TestCompositeCycleEndsWalk(t *testing.T) {
 		if _, err := b.Reachable(c.file); err == nil || err.Error() != want {
 			t.Errorf("Reachable(%s) err = %v, want %q", c.file, err, want)
 		}
-		if _, err := FileGate(tr, c.file, "x86_64"); !errors.Is(err, ErrNotReachable) {
+		if _, err := fileGate(tr, c.file, "x86_64"); !errors.Is(err, ErrNotReachable) {
 			t.Errorf("FileGate(%s) err = %v, want ErrNotReachable", c.file, err)
 		}
 		if _, err := GatingConfigs(tr, c.file, "x86_64"); err != nil {
@@ -208,7 +208,7 @@ func TestSharedCompositeMemberIsStable(t *testing.T) {
 	tr.Write("drivers/net/helper.c", "int helper;\n")
 	b := newTestBuilder(t, tr, "x86_64", cfgWith("A"))
 	for i := 0; i < 200; i++ {
-		g, err := FileGate(tr, "drivers/net/helper.c", "x86_64")
+		g, err := fileGate(tr, "drivers/net/helper.c", "x86_64")
 		if err != nil || g.OwnVar != "A" {
 			t.Fatalf("lookup %d: gate = %+v, %v; want own variable A", i, g, err)
 		}
@@ -249,10 +249,11 @@ func TestMemoIsolatesEditedClone(t *testing.T) {
 	clone := orig.Clone()
 	clone.Write("drivers/net/Makefile", "obj-$(CONFIG_NET) += netdrv.o\n")
 	cfg := cfgWith("NET")
-	bOrig := newTestBuilder(t, orig, "x86_64", cfg)
-	bClone := newTestBuilder(t, clone, "x86_64", cfg)
 	check := func(when string) {
 		t.Helper()
+		// Fresh builders, so their descent memos load the makefiles anew.
+		bOrig := newTestBuilder(t, orig, "x86_64", cfg)
+		bClone := newTestBuilder(t, clone, "x86_64", cfg)
 		wantOrig := "kbuild: file not reachable in this build: rule for netdrv.o disabled (CONFIG_NETDRV=n)"
 		if _, err := bOrig.Reachable("drivers/net/netdrv.c"); err == nil || err.Error() != wantOrig {
 			t.Errorf("%s: original err = %v, want %q", when, err, wantOrig)
@@ -260,10 +261,10 @@ func TestMemoIsolatesEditedClone(t *testing.T) {
 		if v, err := bClone.Reachable("drivers/net/netdrv.c"); err != nil || v != kconfig.Yes {
 			t.Errorf("%s: clone = %v, %v; want y", when, v, err)
 		}
-		if g, err := FileGate(orig, "drivers/net/netdrv.c", "x86_64"); err != nil || g.OwnVar != "NETDRV" {
+		if g, err := fileGate(orig, "drivers/net/netdrv.c", "x86_64"); err != nil || g.OwnVar != "NETDRV" {
 			t.Errorf("%s: original gate = %+v, %v", when, g, err)
 		}
-		if g, err := FileGate(clone, "drivers/net/netdrv.c", "x86_64"); err != nil || g.OwnVar != "NET" {
+		if g, err := fileGate(clone, "drivers/net/netdrv.c", "x86_64"); err != nil || g.OwnVar != "NET" {
 			t.Errorf("%s: clone gate = %+v, %v", when, g, err)
 		}
 	}
@@ -304,7 +305,7 @@ func TestMemoConcurrentWalks(t *testing.T) {
 				if w == 0 && i%50 == 0 {
 					fillMemo(memoLimit / 4)
 				}
-				g, err := FileGate(tr, "drivers/net/netdrv.c", "x86_64")
+				g, err := fileGate(tr, "drivers/net/netdrv.c", "x86_64")
 				if err != nil || g.OwnVar != want {
 					errs <- fmt.Errorf("worker %d: gate = %+v, %v; want %s", w, g, err, want)
 					return

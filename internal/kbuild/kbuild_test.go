@@ -494,7 +494,7 @@ func TestFileGate(t *testing.T) {
 		{"arch/x86_64/kernel/setup.c", nil, "", false},
 	}
 	for _, c := range cases {
-		g, err := FileGate(tr, c.file, "x86_64")
+		g, err := fileGate(tr, c.file, "x86_64")
 		if err != nil {
 			t.Fatalf("FileGate(%s): %v", c.file, err)
 		}
@@ -507,17 +507,17 @@ func TestFileGate(t *testing.T) {
 		}
 	}
 
-	if _, err := FileGate(tr, "drivers/net/orphan.c", "x86_64"); err == nil {
+	if _, err := fileGate(tr, "drivers/net/orphan.c", "x86_64"); err == nil {
 		t.Error("FileGate(orphan) should fail: no object rule")
 	}
-	if _, err := FileGate(tr, "sound/pci/hda.c", "x86_64"); err == nil {
+	if _, err := fileGate(tr, "sound/pci/hda.c", "x86_64"); err == nil {
 		t.Error("FileGate(unlisted dir) should fail")
 	}
 	// The arm walk resolves $(SRCARCH) to arm: x86_64 files become invisible.
-	if _, err := FileGate(tr, "arch/x86_64/kernel/setup.c", "arm"); err == nil {
+	if _, err := fileGate(tr, "arch/x86_64/kernel/setup.c", "arm"); err == nil {
 		t.Error("FileGate(x86_64 file, arm walk) should fail")
 	}
-	if g, err := FileGate(tr, "arch/arm/kernel/entry.c", "arm"); err != nil || len(g.Vars) != 0 {
+	if g, err := fileGate(tr, "arch/arm/kernel/entry.c", "arm"); err != nil || len(g.Vars) != 0 {
 		t.Errorf("FileGate(arm entry) = %+v, %v", g, err)
 	}
 }

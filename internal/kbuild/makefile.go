@@ -5,15 +5,15 @@
 // heuristics JMake uses to guess gating configuration variables (§III-C).
 //
 // One configuration-free walk (descent.go) follows a file's descent from
-// the root Makefile to its obj- rule. Builder.Reachable evaluates that walk
-// under a configuration; FileGate collects its variables. Every makefile
-// read goes through LoadMakefile, whose parses are memoized by path and
-// content, so per-patch clones of a tree share them and an edited makefile
-// is parsed afresh. Reachability itself is evaluated on every call. A
-// MakefileCache memoizes the walk's descent to each directory of one tree
-// snapshot, per architecture, so a caller gating many files of that
-// snapshot (the audit, the static pre-pass, jmake-lint) loads each
-// makefile once per architecture.
+// the root Makefile to its obj- rule, and a MakefileCache memoizes it per
+// directory and architecture of one tree snapshot. Builder.Reachable
+// evaluates that walk under a configuration; MakefileCache.FileGate
+// collects its variables. Every descent goes through a MakefileCache: a
+// check shares one between all its builders and its static pre-pass, the
+// audit and jmake-lint keep one per tree, so each makefile is loaded once
+// per architecture and snapshot. Loads go through LoadMakefile, whose
+// parses are memoized by path and content, so per-patch clones of a tree
+// share them and an edited makefile is parsed afresh.
 package kbuild
 
 import (

@@ -42,7 +42,12 @@ type Frame struct {
 // fails: malformed directives degrade to opaque free variables, keeping the
 // result an over-approximation.
 func Analyze(path, content string) *File {
-	sf := csrc.Analyze(content)
+	return FromLines(path, csrc.Analyze(content))
+}
+
+// FromLines is Analyze over a line analysis already made of the file's
+// content, which the File keeps as its Src.
+func FromLines(path string, sf *csrc.File) *File {
 	f := &File{
 		Path:    path,
 		Src:     sf,

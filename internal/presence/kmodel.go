@@ -92,9 +92,8 @@ func UndeclaredKnow(kt *kconfig.Tree) func(string) (bool, bool) {
 // variable's KconfigConstraints terms. The memo is keyed per architecture,
 // not per declaration: a declaration that architectures share folds
 // differently in each, since `depends on X86 || ARM` loses the operand an
-// architecture does not declare. A Model made by NewModel is safe for
-// concurrent use; the zero Model over a tree, as the package-level
-// ArchFormula uses, computes everything afresh.
+// architecture does not declare. A Model is safe for concurrent use; make
+// one with NewModel.
 type Model struct {
 	kt *kconfig.Tree
 
@@ -123,9 +122,6 @@ func NewModel(kt *kconfig.Tree) *Model {
 // DependsOf is DependsFormulas of the named symbol's `depends on`, which
 // must be declared with one.
 func (m *Model) DependsOf(name string) (enabled, isYes Formula) {
-	if m.deps == nil {
-		return DependsFormulas(m.kt, m.kt.Symbol(name).DependsOn)
-	}
 	m.mu.Lock()
 	d, ok := m.deps[name]
 	m.mu.Unlock()
@@ -140,8 +136,8 @@ func (m *Model) DependsOf(name string) (enabled, isYes Formula) {
 
 // info returns what the tree says about one formula variable.
 func (m *Model) info(name string) varInfo {
-	if m.vars == nil || !IsConfigSymbol(name) {
-		return m.varInfo(name)
+	if !IsConfigSymbol(name) {
+		return varInfo{}
 	}
 	m.mu.Lock()
 	vi, ok := m.vars[name]
@@ -155,12 +151,10 @@ func (m *Model) info(name string) varInfo {
 	return vi
 }
 
+// varInfo computes info's answer for a configuration variable.
 func (m *Model) varInfo(name string) varInfo {
 	kt := m.kt
 	var vi varInfo
-	if !IsConfigSymbol(name) {
-		return vi
-	}
 	base := strings.TrimPrefix(name, "CONFIG_")
 	root, isModuleVar := base, false
 	if kt.Symbol(base) == nil {
@@ -272,17 +266,11 @@ func DependsFormulas(kt *kconfig.Tree, e kconfig.Expr) (enabled, isYes Formula) 
 }
 
 // ArchFormula assembles the full satisfiability query for a source
-// condition under one architecture: cond ∧ Kbuild gate (with MODULE
-// resolved from the rule), undeclared symbols fixed to n, and the Kconfig
-// constraints over every symbol that remains. gate may be nil for
+// condition under the model's architecture: cond ∧ Kbuild gate (with
+// MODULE resolved from the rule), undeclared symbols fixed to n, and the
+// Kconfig constraints over every symbol that remains. gate may be nil for
 // ungated files (headers). The result feeds Decide: SatNo proves the
 // condition can hold in no configuration of this architecture.
-func ArchFormula(kt *kconfig.Tree, cond Formula, gate *kbuild.Gate) Formula {
-	m := Model{kt: kt}
-	return m.ArchFormula(cond, gate)
-}
-
-// ArchFormula is the package-level ArchFormula through the model's memo.
 func (m *Model) ArchFormula(cond Formula, gate *kbuild.Gate) Formula {
 	f := cond
 	if gate != nil {
