@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet race lint lint-go fuzz bench-witness bench-workers bench-static bench-audit bench-checkout bench bench-scaling cache-smoke trace-smoke daemon-smoke audit-smoke follow-smoke obs-smoke eval
+.PHONY: check build test vet race lint lint-go fuzz bench-witness bench-workers bench-static bench-audit bench-checkout bench-setup bench bench-scaling cache-smoke trace-smoke daemon-smoke audit-smoke follow-smoke obs-smoke eval
 
 check: vet build test race lint lint-go fuzz cache-smoke trace-smoke daemon-smoke audit-smoke follow-smoke obs-smoke bench-scaling
 
@@ -70,9 +70,12 @@ audit-smoke:
 # must never panic, never return hunks without both paths and must
 # round-trip a Myers diff, a Kconfig root sourcing a second file must
 # never panic the parser or the valuations and must link through a shared
-# parser, at top level and inside `if X`, exactly as a fresh parse, and
+# parser, at top level and inside `if X`, exactly as a fresh parse,
 # comment stripping must return what the byte-copying reference returns,
-# starting inside and outside a block comment.
+# starting inside and outside a block comment, the line analysis must
+# return every line the splitting reference returns, and the history
+# synthesizer's edit-site scan must answer as the regular expression it
+# replaced.
 # -fuzzminimizetime 10x caps the minimization of each new input at 10
 # executions. The default (60 s) is longer than a target's budget, so on
 # a cold fuzz cache a slow target such as FuzzTreeOps spent nearly all of
@@ -90,6 +93,8 @@ fuzz:
 	$(GO) test ./internal/textdiff/ -run '^$$' -fuzz FuzzParsePatch -fuzztime 10s -fuzzminimizetime 10x
 	$(GO) test ./internal/kconfig/ -run '^$$' -fuzz FuzzKconfigParse -fuzztime 10s -fuzzminimizetime 10x
 	$(GO) test ./internal/csrc/ -run '^$$' -fuzz FuzzStripComments -fuzztime 10s -fuzzminimizetime 10x
+	$(GO) test ./internal/csrc/ -run '^$$' -fuzz FuzzAnalyze -fuzztime 10s -fuzzminimizetime 10x
+	$(GO) test ./internal/commitgen/ -run '^$$' -fuzz FuzzEditableStmt -fuzztime 10s -fuzzminimizetime 10x
 
 bench-witness:
 	$(GO) test ./internal/core/ -run '^$$' -bench BenchmarkWitnessedIn -benchmem
@@ -108,6 +113,14 @@ bench-audit:
 # GOMAXPROCS 1 as in bench-audit; five runs show the spread.
 bench-checkout:
 	$(GO) test ./internal/vcs/ -run '^$$' -bench BenchmarkCheckoutWindow -benchmem -cpu 1 -count 5
+
+# Workspace synthesis in process: the generated tree (scale 1.0), its
+# history (commit scale 0.3) and the patch window, the set-up every jmake,
+# jmake-eval and jmaked start pays before its first check, comparable
+# across checkouts without perfbench. GOMAXPROCS 1 as in bench-audit;
+# five runs show the spread.
+bench-setup:
+	$(GO) test ./internal/cliopts/ -run '^$$' -bench BenchmarkWorkspaceBuild -benchmem -cpu 1 -count 5
 
 # Patch-window throughput at 1/2/4/8 workers (speedup tracks CPU cores).
 bench-workers:

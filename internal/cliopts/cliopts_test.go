@@ -143,3 +143,54 @@ func TestWorkspaceBuildAndSession(t *testing.T) {
 		t.Error("Disable did not clear the result cache")
 	}
 }
+
+// TestWorkspaceHistoryPinned pins the synthesized history of two
+// workspaces: the CLI default and perfbench's at seed 1. The head ID
+// chains SHA-1 over every commit's blob IDs, so it moves when any byte of
+// any commit does; the window length counts the window commits that
+// landed.
+func TestWorkspaceHistoryPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		ws     Workspace
+		long   bool
+		head   string
+		window int
+	}{
+		{"cli-default", Workspace{TreeSeed: 1, HistorySeed: 2, TreeScale: 0.4, CommitScale: 0.05}, false, "0154824f01a6d058c55d47e123c24a39ce05c4c2", 647},
+		{"perfbench-seed-1", Workspace{TreeSeed: 1, HistorySeed: 2, TreeScale: 1.0, CommitScale: 0.3}, true, "8052c93111499245ff702e04f3bfdcbfbb9dbb0e", 3884},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.long && testing.Short() {
+				t.Skip("full-scale history synthesis is slow")
+			}
+			built, err := tc.ws.Build()
+			if err != nil {
+				t.Fatalf("Build: %v", err)
+			}
+			if got := built.Hist.Repo.Head(); got != tc.head {
+				t.Errorf("head = %s, want %s", got, tc.head)
+			}
+			if got := len(built.WindowIDs); got != tc.window {
+				t.Errorf("window commits = %d, want %d", got, tc.window)
+			}
+		})
+	}
+}
+
+// BenchmarkWorkspaceBuild times one workspace synthesis at perfbench's
+// scales (tree 1.0, commit 0.3): the tree, its history and the window,
+// the set-up every CLI run and jmaked start pays.
+func BenchmarkWorkspaceBuild(b *testing.B) {
+	ws := Workspace{TreeSeed: 1, HistorySeed: 2, TreeScale: 1.0, CommitScale: 0.3}
+	for i := 0; i < b.N; i++ {
+		built, err := ws.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchBuilt = built
+	}
+}
+
+// benchBuilt keeps BenchmarkWorkspaceBuild's result reachable.
+var benchBuilt *Built

@@ -61,14 +61,97 @@ func guardFor(site kernelgen.SiteClass) (kind csrc.CondKind, argMatch func(strin
 var (
 	hexNumRe = regexp.MustCompile(`0x[0-9a-fA-F]+`)
 	decNumRe = regexp.MustCompile(`\b[0-9]+\b`)
-	// editableStmtRe matches simple statements and defines safe to
-	// renumber.
-	editableStmtRe = regexp.MustCompile(`(=\s*-?[0-9]|0x[0-9a-fA-F]+|\breturn\b.*[0-9]|#define\s+[A-Za-z0-9_]+\s+-?[0-9])`)
-	defineNumRe    = regexp.MustCompile(`^\s*#define\s+[A-Za-z0-9_]+(\(|\s)`)
 	// unusedMacroRe matches the deliberately-unused defines; plain edits
 	// avoid them so only planned edits hit the unused-macro escape class.
 	unusedMacroRe = regexp.MustCompile(`^#define\s+([A-Z0-9_]+_SPARE_MASK|RESERVED_FUTURE_MASK_[0-9]+)\s`)
 )
+
+// editableStmt reports whether a line holds a simple statement or define
+// safe to renumber: a number assigned after '=', a hex literal, a return
+// with a digit after it on its line, or a #define of a number. It is one
+// left-to-right scan and answers exactly as the unanchored expression
+//
+//	=\s*-?[0-9]|0x[0-9a-fA-F]+|\breturn\b.*[0-9]|#define\s+[A-Za-z0-9_]+\s+-?[0-9]
+//
+// with RE2's \s ([\t\n\f\r ]), its ASCII \b and a '.' that stops at
+// '\n', without the backtracking that expression costs on every
+// candidate line of every edited file.
+func editableStmt(line string) bool {
+	afterReturn := false // a "return" word came earlier on this line
+	for i := 0; i < len(line); i++ {
+		switch c := line[i]; {
+		case c == '\n':
+			afterReturn = false
+		case isDigit(c):
+			if afterReturn || c == '0' && i+2 < len(line) && line[i+1] == 'x' && isHexDigit(line[i+2]) {
+				return true
+			}
+		case c == '=':
+			if signedDigitAt(line, skipSpace(line, i+1)) {
+				return true
+			}
+		case c == 'r':
+			if strings.HasPrefix(line[i:], "return") && (i == 0 || !isWordByte(line[i-1])) &&
+				(i+6 == len(line) || !isWordByte(line[i+6])) {
+				afterReturn = true
+			}
+		case c == '#':
+			if strings.HasPrefix(line[i+1:], "define") && definesNumber(line[i+7:]) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// definesNumber reports whether rest, the text after "#define", starts
+// with whitespace, a name, whitespace and a digit, with an optional minus
+// before the digit.
+func definesNumber(rest string) bool {
+	name := skipSpace(rest, 0)
+	if name == 0 {
+		return false
+	}
+	end := name
+	for end < len(rest) && isWordByte(rest[end]) {
+		end++
+	}
+	if end == name {
+		return false
+	}
+	value := skipSpace(rest, end)
+	return value > end && signedDigitAt(rest, value)
+}
+
+// skipSpace returns the index of the first byte at or after i that is
+// not RE2 whitespace ([\t\n\f\r ]; no \v).
+func skipSpace(s string, i int) int {
+	for i < len(s) && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' || s[i] == '\f' || s[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// signedDigitAt reports whether s holds a digit at i, or a minus and a
+// digit.
+func signedDigitAt(s string, i int) bool {
+	if i < len(s) && s[i] == '-' {
+		i++
+	}
+	return i < len(s) && isDigit(s[i])
+}
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+func isHexDigit(c byte) bool {
+	return isDigit(c) || c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F'
+}
+
+// isWordByte reports an ASCII word character, the only kind RE2's \b
+// and [A-Za-z0-9_] know.
+func isWordByte(c byte) bool {
+	return isDigit(c) || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_'
+}
 
 // bumpNumbers rewrites the last number on the line, guaranteeing a textual
 // change.
@@ -129,13 +212,13 @@ func lineEligible(li csrc.Line, class editClass, kind csrc.CondKind, argMatch fu
 		if !onlyIncludeGuards(li.Conds) {
 			return false
 		}
-		if unusedMacroRe.MatchString(strings.TrimSpace(li.Text)) {
+		if t := strings.TrimSpace(li.Text); strings.HasPrefix(t, "#define") && unusedMacroRe.MatchString(t) {
 			return false
 		}
-		return editableStmtRe.MatchString(li.Text)
+		return editableStmt(li.Text)
 	case editMacroBody:
 		return li.InMacroDef && li.Num != li.MacroStart && onlyIncludeGuards(li.Conds) &&
-			editableStmtRe.MatchString(li.Text)
+			editableStmt(li.Text)
 	case editComment:
 		return li.CommentOnly && strings.Contains(li.Text, "note:")
 	case editEscape:
@@ -145,7 +228,7 @@ func lineEligible(li csrc.Line, class editClass, kind csrc.CondKind, argMatch fu
 			return false
 		}
 		top := li.Conds[len(li.Conds)-1]
-		return top.Kind == kind && argMatch(top.Arg) && editableStmtRe.MatchString(li.Text)
+		return top.Kind == kind && argMatch(top.Arg) && editableStmt(li.Text)
 	default:
 		return false
 	}
@@ -189,10 +272,10 @@ func (e *editor) apply(content string, class editClass, site kernelgen.SiteClass
 			if !strings.HasSuffix(top.Arg, "_DEBUG") {
 				continue
 			}
-			if top.Kind == csrc.CondIfdef && ifLine < 0 && editableStmtRe.MatchString(li.Text) {
+			if top.Kind == csrc.CondIfdef && ifLine < 0 && editableStmt(li.Text) {
 				ifLine = li.Num
 			}
-			if top.Kind == csrc.CondElse && elseLine < 0 && editableStmtRe.MatchString(li.Text) {
+			if top.Kind == csrc.CondElse && elseLine < 0 && editableStmt(li.Text) {
 				elseLine = li.Num
 			}
 		}

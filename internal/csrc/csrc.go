@@ -115,13 +115,14 @@ func (f *File) LineAt(n int) (Line, bool) {
 	return f.Lines[n-1], true
 }
 
-// Analyze scans content and classifies every physical line.
+// Analyze scans content and classifies every physical line. A final
+// newline ends the last line rather than opening an empty one.
 func Analyze(content string) *File {
-	rawLines := strings.Split(strings.TrimSuffix(content, "\n"), "\n")
-	if content == "" {
-		rawLines = nil
+	n := strings.Count(content, "\n")
+	if content != "" && content[len(content)-1] != '\n' {
+		n++
 	}
-	f := &File{Lines: make([]Line, len(rawLines))}
+	f := &File{Lines: make([]Line, n)}
 
 	inComment := false
 	inMacro := false
@@ -130,7 +131,12 @@ func Analyze(content string) *File {
 	region := 0
 	var stack []CondFrame
 
-	for i, text := range rawLines {
+	unread := content
+	for i := range f.Lines {
+		text := unread
+		if j := strings.IndexByte(unread, '\n'); j >= 0 {
+			text, unread = unread[:j], unread[j+1:]
+		}
 		li := Line{Num: i + 1, Text: text, CommentEndCol: -1}
 		li.InComment = inComment
 		// A conditional directive line itself belongs to the *preceding*
