@@ -171,11 +171,11 @@ trace-smoke:
 	cmp "$$dir/f1.json" "$$dir/f4.json" && cmp "$$dir/f1.json" "$$dir/fnc.json" && \
 	echo "trace-smoke: faulted traces valid and byte-identical across workers and cache states"
 
-# Incremental-follower round trip: stream 20 commits warm at workers 1
-# and 4, cmp every report with the other worker count's and with
-# `jmake -commit ID -json` for the same commit (warmth and concurrency may
-# change cost, never bytes), and gate steady-state small commits at
-# <= 30% of their cold price.
+# Incremental-follower round trip: stream 20 commits warm with the
+# default options and under -static -prescan -allmod -coverage, cmp every
+# report with `jmake -commit ID -json` for the same commit and options
+# (warmth may change cost, never bytes), and gate steady-state small
+# commits at <= 30% of their cold price.
 follow-smoke:
 	@GO="$(GO)" sh scripts/follow-smoke.sh
 

@@ -58,7 +58,6 @@ func run() error {
 	var (
 		modelSeed  = flag.Uint64("model-seed", 3, "virtual-time model seed")
 		workers    = flag.Int("workers", 0, "parallel patch workers (0 = auto, capped at 25)")
-		inflight   = flag.Int("inflight", 0, "bound on admitted-but-unmerged patches (0 = 2*workers)")
 		runtimeMet = flag.Bool("runtime-metrics", false, "include volatile scheduling metrics (wall clock, throughput); output is no longer reproducible")
 		points     = flag.Bool("points", false, "print figures as x/y points instead of ASCII plots")
 		jsonOut    = flag.Bool("json", false, "emit the whole evaluation as machine-readable JSON and exit")
@@ -91,7 +90,6 @@ func run() error {
 		TreeScale:     ws.TreeScale,
 		CommitScale:   ws.CommitScale,
 		Workers:       *workers,
-		InFlight:      *inflight,
 		Checker:       chk.Options(),
 		NoResultCache: cache.Disable,
 		CacheDir:      cache.Dir,

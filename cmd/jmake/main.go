@@ -5,18 +5,19 @@
 //
 // Usage:
 //
-//	jmake [-tree-scale S] [-commit-scale S] [-n N | -commit ID | -follow] [-show]
+//	jmake [-tree-scale S] [-commit-scale S] [-n N [-follow] | -commit ID] [-show]
 //
 // With -n, the latest N window commits are checked; with -commit, one
 // specific commit. With -json, each report is printed as indented JSON
 // (and the workspace chatter goes to stderr), byte-identical to the
 // report jmaked serves for the same commit.
 //
-// With -follow, the latest commits are consumed as an incremental
-// stream: the session is seeded once, then each commit costs
-// proportional to its diff (per-commit virtual vs effective cost goes to
-// the diagnostic stream). Reports are byte-identical to one-shot checks;
-// -follow-out DIR writes each as DIR/<commit>.json.
+// With -follow, the latest N window commits are consumed as an
+// incremental stream, one at a time in history order: the session is
+// seeded once, then each commit costs proportional to its diff
+// (per-commit virtual vs effective cost goes to the diagnostic stream).
+// Reports are byte-identical to one-shot checks; -follow-out DIR writes
+// each as DIR/<commit>.json.
 package main
 
 import (
@@ -58,10 +59,8 @@ func run() error {
 		patchFile = flag.String("patch", "", "check a unified-diff patch file against the v4.4 tree instead of commits")
 		jsonOut   = flag.Bool("json", false, "print each report as indented JSON (diagnostics go to stderr)")
 
-		follow        = flag.Bool("follow", false, "follow the commit stream incrementally: one warm session, per-commit cost proportional to the diff")
-		followN       = flag.Int("follow-n", 0, "with -follow, stream the latest N window commits (0 = the -n value)")
-		followOut     = flag.String("follow-out", "", "with -follow, write each report to DIR/<commit>.json (bytes identical to -commit ID -json)")
-		followWorkers = flag.Int("follow-workers", 1, "with -follow, check non-structural batches with this many workers")
+		follow    = flag.Bool("follow", false, "follow the latest -n window commits incrementally: one warm session, per-commit cost proportional to the diff")
+		followOut = flag.String("follow-out", "", "with -follow, write each report to DIR/<commit>.json (bytes identical to -commit ID -json)")
 	)
 	flag.Parse()
 
@@ -82,11 +81,7 @@ func run() error {
 	opts := chk.Options()
 
 	if *follow {
-		nf := *followN
-		if nf == 0 {
-			nf = *n
-		}
-		return runFollow(built, opts, nf, *followWorkers, *jsonOut, *followOut, diag)
+		return runFollow(built, opts, *n, *jsonOut, *followOut, diag)
 	}
 
 	if *patchFile != "" {
@@ -171,7 +166,7 @@ func run() error {
 // `jmake -commit ID -json` output for the same commit; the incremental
 // machinery only changes the effective cost, which is printed per commit
 // on the diagnostic stream.
-func runFollow(built *cliopts.Built, opts jmake.Options, n, workers int, jsonOut bool, outDir string, diag io.Writer) error {
+func runFollow(built *cliopts.Built, opts jmake.Options, n int, jsonOut bool, outDir string, diag io.Writer) error {
 	ids := built.WindowIDs
 	if n > 0 && len(ids) > n {
 		ids = ids[len(ids)-n:]
@@ -191,9 +186,9 @@ func runFollow(built *cliopts.Built, opts jmake.Options, n, workers int, jsonOut
 			return err
 		}
 	}
-	fmt.Fprintf(diag, "following %d commits from %.12s (warm session, %d workers)\n\n", len(ids), base, workers)
+	fmt.Fprintf(diag, "following %d commits from %.12s (warm session)\n\n", len(ids), base)
 
-	f, err := jmake.NewFollower(built.Hist.Repo, base, jmake.FollowOptions{Checker: opts, Workers: workers})
+	f, err := jmake.NewFollower(built.Hist.Repo, base, jmake.FollowOptions{Checker: opts})
 	if err != nil {
 		return err
 	}
@@ -203,16 +198,12 @@ func runFollow(built *cliopts.Built, opts jmake.Options, n, workers int, jsonOut
 			emitErr = fmt.Errorf("commit %.12s: %w", r.Commit, r.Err)
 			return false
 		}
-		eff := ""
-		if r.EffectiveMeasured {
-			pct := 100.0
-			if r.VirtualSeconds > 0 {
-				pct = 100 * r.EffectiveSeconds / r.VirtualSeconds
-			}
-			eff = fmt.Sprintf("  effective %.2fs (%.0f%% of cold)", r.EffectiveSeconds, pct)
+		pct := 100.0
+		if r.VirtualSeconds > 0 {
+			pct = 100 * r.EffectiveSeconds / r.VirtualSeconds
 		}
-		fmt.Fprintf(diag, "commit %.12s: files=%d touched=%d invalidated_tus=%d structural=%v virtual %.2fs%s\n",
-			r.Commit, r.Files, r.Touched, r.InvalidatedTUs, r.Structural, r.VirtualSeconds, eff)
+		fmt.Fprintf(diag, "commit %.12s: files=%d touched=%d invalidated_tus=%d structural=%v virtual %.2fs  effective %.2fs (%.0f%% of cold)\n",
+			r.Commit, r.Files, r.Touched, r.InvalidatedTUs, r.Structural, r.VirtualSeconds, r.EffectiveSeconds, pct)
 		data, err := json.MarshalIndent(r.Report, "", "  ")
 		if err != nil {
 			emitErr = err

@@ -33,6 +33,9 @@ type Session struct {
 	// warm holds the session-scoped set-up marks and saved-effective-time
 	// ledgers.
 	warm *warmState
+	// metaStale is set while the tree's Kbuild.meta fails to load: meta
+	// is then older than the tree, so every Refresh retries the load.
+	metaStale bool
 }
 
 // NewSession captures shared state from a base tree (any window snapshot).
@@ -147,18 +150,25 @@ type RefreshSummary struct {
 //   - .c/.h content          → nothing: the token, result and mutation
 //     caches are content-keyed and self-invalidating.
 //
+// A Kbuild.meta that fails to load leaves the session on its old
+// metadata, which no cold session over the new tree would hold: Refresh
+// returns the load error, and every later Refresh retries the load and
+// returns its error until the manifest loads again. The successful
+// reload then drops everything, as any metadata change does.
+//
 // Everything dropped here is a pure recomputation; over-invalidating
 // costs only effective time, never correctness, so ambiguous paths take
 // the wider rule.
 func (s *Session) Refresh(tree *fstree.Tree, changed []string) (RefreshSummary, error) {
 	var sum RefreshSummary
 	ch := classifyChanges(changed)
-	if ch.meta {
+	if ch.meta || s.metaStale {
 		meta, err := kbuild.LoadMeta(tree)
 		if err != nil {
+			s.metaStale = true
 			return sum, fmt.Errorf("core: refresh: %w", err)
 		}
-		s.meta = meta
+		s.meta, s.metaStale = meta, false
 		sum.MetaReloaded = true
 		ch.arch = true    // rediscover against the new metadata
 		ch.kconfig = true // drop everything valuation-shaped
@@ -223,8 +233,7 @@ func classifyChanges(changed []string) changeClass {
 
 // Structural reports whether any changed path invalidates session-level
 // state in Refresh (build metadata, architecture trees, Kconfig inputs,
-// Makefiles), so a follower can put a concurrency barrier in front of the
-// refresh.
+// Makefiles), so a follower can say which commits paid for invalidation.
 func Structural(changed []string) bool {
 	ch := classifyChanges(changed)
 	return ch.meta || ch.arch || ch.kconfig || ch.makefile

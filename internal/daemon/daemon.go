@@ -1011,16 +1011,15 @@ func (q *followRequest) deadline() int64 { return q.DeadlineMS }
 // entry per commit, flushed as produced. Report carries the same bytes
 // as /check for the same commit (modulo the entry's compact rendering).
 type followEntry struct {
-	Commit            string          `json:"commit"`
-	Files             int             `json:"files"`
-	Touched           int             `json:"touched"`
-	Structural        bool            `json:"structural,omitempty"`
-	InvalidatedTUs    int             `json:"invalidated_tus"`
-	VirtualSeconds    float64         `json:"virtual_seconds"`
-	EffectiveSeconds  float64         `json:"effective_seconds"`
-	EffectiveMeasured bool            `json:"effective_measured,omitempty"`
-	Report            json.RawMessage `json:"report,omitempty"`
-	Error             string          `json:"error,omitempty"`
+	Commit           string          `json:"commit"`
+	Files            int             `json:"files"`
+	Touched          int             `json:"touched"`
+	Structural       bool            `json:"structural,omitempty"`
+	InvalidatedTUs   int             `json:"invalidated_tus"`
+	VirtualSeconds   float64         `json:"virtual_seconds"`
+	EffectiveSeconds float64         `json:"effective_seconds"`
+	Report           json.RawMessage `json:"report,omitempty"`
+	Error            string          `json:"error,omitempty"`
 }
 
 // handleFollow streams a commit sequence through the resident follower
@@ -1094,8 +1093,8 @@ func (s *Server) handleFollow(w http.ResponseWriter, r *http.Request) {
 }
 
 // followerFor returns the resident follower when it can serve the
-// request warm (every requested commit after its cursor, same checker
-// options), otherwise reseeds one at the first commit's parent.
+// request warm (the stream is in history order after its cursor, same
+// checker options), otherwise reseeds one at the first commit's parent.
 // Caller holds followMu.
 func (s *Server) followerFor(req followRequest) (*jmake.Follower, error) {
 	optsKey, err := json.Marshal(req.Options)
@@ -1103,7 +1102,7 @@ func (s *Server) followerFor(req followRequest) (*jmake.Follower, error) {
 		return nil, err
 	}
 	if s.follower != nil && !req.Reseed && s.followerOpts == string(optsKey) &&
-		s.followerServes(req.Commits) {
+		s.follower.Serves(req.Commits) {
 		s.reg.Counter("daemon_follow_continues").Inc()
 		return s.follower, nil
 	}
@@ -1132,36 +1131,16 @@ func (s *Server) followerFor(req followRequest) (*jmake.Follower, error) {
 	return f, nil
 }
 
-// followerServes reports whether every requested commit lies after the
-// resident follower's cursor, i.e. the stream can continue warm.
-func (s *Server) followerServes(ids []string) bool {
-	seq, err := s.built.Hist.Repo.Since(s.follower.Cursor())
-	if err != nil {
-		return false
-	}
-	in := make(map[string]bool, len(seq))
-	for _, id := range seq {
-		in[id] = true
-	}
-	for _, id := range ids {
-		if !in[id] {
-			return false
-		}
-	}
-	return true
-}
-
 // followEntryFor renders one follower step as a stream entry.
 func (s *Server) followEntryFor(st jmake.FollowStep) followEntry {
 	e := followEntry{
-		Commit:            st.Commit,
-		Files:             st.Files,
-		Touched:           st.Touched,
-		Structural:        st.Structural,
-		InvalidatedTUs:    st.InvalidatedTUs,
-		VirtualSeconds:    st.VirtualSeconds,
-		EffectiveSeconds:  st.EffectiveSeconds,
-		EffectiveMeasured: st.EffectiveMeasured,
+		Commit:           st.Commit,
+		Files:            st.Files,
+		Touched:          st.Touched,
+		Structural:       st.Structural,
+		InvalidatedTUs:   st.InvalidatedTUs,
+		VirtualSeconds:   st.VirtualSeconds,
+		EffectiveSeconds: st.EffectiveSeconds,
 	}
 	switch {
 	case st.Err != nil:

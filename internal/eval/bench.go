@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"jmake/internal/incr"
 	"jmake/internal/trace"
 )
 
@@ -105,7 +106,7 @@ type BenchReport struct {
 	Spans          []BenchSpanStat     `json:"spans"`
 	// Reactive is the commit-stream follower benchmark (cmd/jmake-bench
 	// -reactive); nil when that mode was not run.
-	Reactive *ReactiveReport `json:"reactive,omitempty"`
+	Reactive *incr.ReactiveReport `json:"reactive,omitempty"`
 }
 
 // MarshalIndent renders the report as BENCH_pipeline.json content.

@@ -41,7 +41,7 @@ func TestJSONCacheStateInvariant(t *testing.T) {
 
 	off, _ := run("off", func(p *Params) { p.NoResultCache = true; p.Workers = 1 })
 	inmem, _ := run("inmem", func(p *Params) { p.Workers = 2 })
-	cold, coldRun := run("cold", func(p *Params) { p.CacheDir = dir; p.Workers = 4; p.InFlight = 8 })
+	cold, coldRun := run("cold", func(p *Params) { p.CacheDir = dir; p.Workers = 4 })
 	warm, warmRun := run("warm", func(p *Params) { p.CacheDir = dir; p.Workers = 8 })
 	warm1, _ := run("warm1", func(p *Params) { p.CacheDir = dir; p.Workers = 1 })
 

@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 
 	"jmake/internal/commitgen"
 	"jmake/internal/core"
@@ -17,7 +16,6 @@ import (
 	"jmake/internal/kernelgen"
 	"jmake/internal/maintainers"
 	"jmake/internal/sched"
-	"jmake/internal/textdiff"
 	"jmake/internal/trace"
 	"jmake/internal/vclock"
 	"jmake/internal/vcs"
@@ -43,11 +41,10 @@ type Params struct {
 	// CommitScale sizes the history (1.0 = the paper's 12,946 window
 	// commits).
 	CommitScale float64
-	// Workers bounds parallel patch processing (paper: 25 processes).
+	// Workers bounds parallel patch processing (paper: 25 processes). At
+	// most 2*Workers patches are admitted but not yet merged, each holding
+	// one tree clone and report in memory.
 	Workers int
-	// InFlight bounds admitted-but-unmerged patches (each holds one tree
-	// clone and report in memory); 0 means 2*Workers.
-	InFlight int
 	// Checker tunes the JMake pipeline.
 	Checker core.Options
 	// NoResultCache disables the shared compile-result cache (on by
@@ -241,7 +238,7 @@ func (r *Run) checkWindow(ids []string) error {
 
 	r.Results = make([]PatchResult, len(ids))
 	met := sched.MapCtx(ctx, len(ids),
-		sched.Options{Workers: r.Params.Workers, InFlight: r.Params.InFlight},
+		sched.Options{Workers: r.Params.Workers},
 		func(i int) PatchResult {
 			return processOne(r.Repo, session, model, opts, ids[i], r.JanitorEmails, r.Params.Trace)
 		},
@@ -293,7 +290,7 @@ func processOne(repo *vcs.Repo, session *core.Session, model *vclock.Model, opts
 		res.Err = err
 		return res
 	}
-	kept := RelevantDiffs(fds)
+	kept := core.RelevantDiffs(fds)
 	if len(kept) == 0 {
 		res.Skipped = true
 		return res
@@ -322,52 +319,6 @@ func processOne(repo *vcs.Repo, session *core.Session, model *vclock.Model, opts
 	return res
 }
 
-// RelevantPath implements the paper's path filter: only .c and .h files
-// outside Documentation, scripts and tools are considered (§V-A).
-func RelevantPath(p string) bool {
-	if strings.HasPrefix(p, "Documentation/") ||
-		strings.HasPrefix(p, "scripts/") ||
-		strings.HasPrefix(p, "tools/") {
-		return false
-	}
-	return strings.HasSuffix(p, ".c") || strings.HasSuffix(p, ".h")
-}
-
-// RelevantDiffs returns, in order, the file diffs whose new path passes
-// RelevantPath, in a new slice.
-func RelevantDiffs(fds []textdiff.FileDiff) []textdiff.FileDiff {
-	kept := fds[:0:0]
-	for _, fd := range fds {
-		if RelevantPath(fd.NewPath) {
-			kept = append(kept, fd)
-		}
-	}
-	return kept
-}
-
-// CheckCommit is the one commit check that `jmake -commit`, jmaked and
-// the follower all run: commit id's file diffs, kept by RelevantDiffs,
-// checked over tree (the snapshot after the commit) with the default
-// model seeded by the ID's length, so the report depends only on the
-// commit. When traced it also returns the patch's span tree (nil
-// otherwise); tracing never changes the report. files counts the kept
-// diffs.
-func CheckCommit(session *core.Session, repo *vcs.Repo, tree *fstree.Tree, id string, opts core.Options, traced bool) (report *core.PatchReport, span *trace.Span, files int, err error) {
-	fds, err := repo.FileDiffs(id)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	kept := RelevantDiffs(fds)
-	model := vclock.DefaultModel(uint64(len(id)))
-	checker := session.Checker(tree, model, opts)
-	var rec *trace.Recorder
-	if traced {
-		rec = trace.NewRecorder(trace.KindPatch, model.NewClock(), trace.A("commit", id))
-		checker.SetTrace(rec)
-	}
-	report, err = checker.CheckPatch(id, kept)
-	if err != nil {
-		return nil, nil, len(kept), err
-	}
-	return report, rec.Finish(), len(kept), nil
-}
+// RelevantPath is core.RelevantPath, the paper's path filter (§V-A),
+// under the name the benchmark's verifier (perfbench/verify.go) calls.
+func RelevantPath(p string) bool { return core.RelevantPath(p) }

@@ -16,10 +16,9 @@ func TestJSONWorkerCountInvariant(t *testing.T) {
 	}
 	base := Params{TreeSeed: 41, HistorySeed: 42, ModelSeed: 43, TreeScale: 0.15, CommitScale: 0.008}
 
-	run := func(workers, inflight int) []byte {
+	run := func(workers int) []byte {
 		p := base
 		p.Workers = workers
-		p.InFlight = inflight
 		r, err := Execute(p)
 		if err != nil {
 			t.Fatalf("Execute(workers=%d): %v", workers, err)
@@ -37,15 +36,10 @@ func TestJSONWorkerCountInvariant(t *testing.T) {
 		return js
 	}
 
-	one := run(1, 0)
-	four := run(4, 8)
+	one := run(1)
+	four := run(4)
 	if !bytes.Equal(one, four) {
 		t.Error("JSON reports differ between -workers=1 and -workers=4")
-	}
-	// A tight in-flight bound changes scheduling but not the report.
-	tight := run(4, 4)
-	if !bytes.Equal(one, tight) {
-		t.Error("JSON reports differ under a tight in-flight bound")
 	}
 }
 
@@ -60,10 +54,9 @@ func TestJSONWorkerInvariantWithStaticPresence(t *testing.T) {
 	base := Params{TreeSeed: 41, HistorySeed: 42, ModelSeed: 43, TreeScale: 0.15, CommitScale: 0.008}
 	base.Checker.StaticPresence = true
 
-	run := func(workers, inflight int) ([]byte, *Run) {
+	run := func(workers int) ([]byte, *Run) {
 		p := base
 		p.Workers = workers
-		p.InFlight = inflight
 		r, err := Execute(p)
 		if err != nil {
 			t.Fatalf("Execute(workers=%d): %v", workers, err)
@@ -75,8 +68,8 @@ func TestJSONWorkerInvariantWithStaticPresence(t *testing.T) {
 		return js, r
 	}
 
-	one, rOne := run(1, 0)
-	four, _ := run(4, 8)
+	one, rOne := run(1)
+	four, _ := run(4)
 	if !bytes.Equal(one, four) {
 		t.Error("static-presence JSON reports differ between -workers=1 and -workers=4")
 	}

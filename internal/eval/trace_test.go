@@ -43,7 +43,7 @@ func TestTraceDeterminism(t *testing.T) {
 
 	off, offRun := run("off", func(p *Params) { p.NoResultCache = true; p.Workers = 1 })
 	inmem, _ := run("inmem", func(p *Params) { p.Workers = 2 })
-	cold, _ := run("cold", func(p *Params) { p.CacheDir = dir; p.Workers = 4; p.InFlight = 8 })
+	cold, _ := run("cold", func(p *Params) { p.CacheDir = dir; p.Workers = 4 })
 	warm, _ := run("warm", func(p *Params) { p.CacheDir = dir; p.Workers = 8 })
 
 	for name, out := range map[string][]byte{"inmem": inmem, "cold": cold, "warm": warm} {

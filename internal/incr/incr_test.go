@@ -11,7 +11,7 @@ import (
 
 	"jmake/internal/commitgen"
 	"jmake/internal/core"
-	"jmake/internal/eval"
+	"jmake/internal/kbuild"
 	"jmake/internal/kernelgen"
 	"jmake/internal/vclock"
 	"jmake/internal/vcs"
@@ -69,7 +69,7 @@ func coldReport(t *testing.T, repo *vcs.Repo, id string, opts core.Options) *cor
 	}
 	kept := fds[:0:0]
 	for _, fd := range fds {
-		if eval.RelevantPath(fd.NewPath) {
+		if core.RelevantPath(fd.NewPath) {
 			kept = append(kept, fd)
 		}
 	}
@@ -142,9 +142,6 @@ func TestFollowerMatchesColdOnWindow(t *testing.T) {
 			t.Fatalf("step %s: %v", ids[i], err)
 		}
 		requireIdentical(t, repo, res, opts)
-		if !res.EffectiveMeasured {
-			t.Fatalf("sequential step %s did not measure effective cost", res.Commit)
-		}
 		if res.EffectiveSeconds > res.VirtualSeconds {
 			t.Fatalf("commit %s: effective %.3f exceeds virtual %.3f",
 				res.Commit, res.EffectiveSeconds, res.VirtualSeconds)
@@ -153,8 +150,7 @@ func TestFollowerMatchesColdOnWindow(t *testing.T) {
 	}
 	// Warmth must actually materialize: once the session has seen a few
 	// commits, the ledgers are non-zero.
-	saved := f.savedSeconds()
-	if saved <= 0 {
+	if saved := f.Session().SavedEffective(); saved <= 0 {
 		t.Fatalf("warm session saved nothing over %d commits", checked)
 	}
 }
@@ -296,11 +292,11 @@ func TestFollowerEmptyAndMergeCommits(t *testing.T) {
 
 // TestFollowerRandomStream is the fuzz-style cross-check: a seeded random
 // subset of the window (random gaps exercise intermediate application)
-// must stay byte-identical to cold checks, both sequentially and via Run
-// at several workers.
+// streamed through Run must stay byte-identical to cold checks, under
+// the default options and under all four checker extensions (the option
+// sets a follower is keyed by).
 func TestFollowerRandomStream(t *testing.T) {
 	repo, ids := substrate(t)
-	var opts core.Options
 	rng := rand.New(rand.NewSource(7))
 	var stream []string
 	for i := 1; i < len(ids) && len(stream) < 10; i++ {
@@ -313,13 +309,15 @@ func TestFollowerRandomStream(t *testing.T) {
 		t.Fatalf("stream too small: %d", len(stream))
 	}
 
-	colds := make(map[string]string, len(stream))
-	for _, id := range stream {
-		colds[id] = marshal(t, coldReport(t, repo, id, opts))
-	}
-
-	for _, workers := range []int{1, 3} {
-		f, err := NewFollower(repo, ids[0], Options{Checker: opts, Workers: workers})
+	for _, set := range []struct {
+		name string
+		opts core.Options
+	}{
+		{"default", core.Options{}},
+		{"extensions", core.Options{StaticPresence: true, Prescan: true, TryAllModConfig: true, CoverageConfigs: true}},
+	} {
+		name, opts := set.name, set.opts
+		f, err := NewFollower(repo, ids[0], Options{Checker: opts})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,22 +326,132 @@ func TestFollowerRandomStream(t *testing.T) {
 			got = append(got, r)
 			return true
 		}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if len(got) != len(stream) {
-			t.Fatalf("workers=%d: emitted %d of %d", workers, len(got), len(stream))
+			t.Fatalf("%s: emitted %d of %d", name, len(got), len(stream))
 		}
 		for i, r := range got {
 			if r.Commit != stream[i] {
-				t.Fatalf("workers=%d: out of order: got %s want %s", workers, r.Commit, stream[i])
+				t.Fatalf("%s: out of order: got %s want %s", name, r.Commit, stream[i])
 			}
 			if r.Err != nil {
-				t.Fatalf("workers=%d: %s: %v", workers, r.Commit, r.Err)
+				t.Fatalf("%s: %s: %v", name, r.Commit, r.Err)
 			}
-			if m := marshal(t, r.Report); m != colds[r.Commit] {
-				t.Fatalf("workers=%d: commit %s differs from cold", workers, r.Commit)
+			if marshal(t, r.Report) != marshal(t, coldReport(t, repo, r.Commit, opts)) {
+				t.Fatalf("%s: commit %s differs from cold", name, r.Commit)
 			}
 		}
+	}
+}
+
+// TestRunRefusesOutOfOrderStream: the follower walks history in order,
+// so a stream whose IDs do not strictly increase in history (reordered,
+// or repeating an ID) is refused before anything is applied, and the
+// cursor stays where it was.
+func TestRunRefusesOutOfOrderStream(t *testing.T) {
+	repo, ids := substrate(t)
+	if len(ids) < 6 {
+		t.Fatalf("window too small: %d commits", len(ids))
+	}
+	f, err := NewFollower(repo, ids[0], Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stream := range [][]string{
+		{ids[3], ids[2], ids[5]},
+		{ids[2], ids[2]},
+		{ids[1], ids[4], ids[4]},
+	} {
+		if f.Serves(stream) {
+			t.Errorf("Serves(%.8s) = true for an out-of-order stream", stream)
+		}
+		emitted := 0
+		err := f.Run(stream, func(StepResult) bool {
+			emitted++
+			return true
+		})
+		if err == nil || emitted != 0 {
+			t.Fatalf("Run(%.8s): err %v after %d results, want a refusal before any", stream, err, emitted)
+		}
+		if f.cursor != ids[0] {
+			t.Fatalf("Run(%.8s) moved the cursor to %.8s", stream, f.cursor)
+		}
+	}
+	if in := []string{ids[1], ids[2]}; !f.Serves(in) {
+		t.Fatalf("Serves(%.8s) = false for an in-order stream", in)
+	}
+	res, err := f.Step(ids[1])
+	if err != nil {
+		t.Fatalf("step %s after refusals: %v", ids[1], err)
+	}
+	requireIdentical(t, repo, res, core.Options{})
+}
+
+// TestFollowerRetriesBrokenMeta: after a commit breaks Kbuild.meta, a
+// one-shot check of any later commit refuses (its session cannot load the
+// manifest), so the follower must refuse too, not answer from the older
+// metadata it still holds, until a commit repairs the manifest. The first
+// check after the repair matches a cold check byte for byte. Run and Step
+// walk the same sequence.
+func TestFollowerRetriesBrokenMeta(t *testing.T) {
+	repo, _ := substrate(t)
+	var opts core.Options
+	const root = "drivers/char/core.c"
+	good, err := repo.ReadTip(kbuild.MetaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := good + "bogus line here\n"
+	for _, mode := range []string{"Run", "Step"} {
+		base := repo.Head()
+		seq := []string{
+			repo.Commit(probeSig, "break meta", map[string]*string{kbuild.MetaPath: &broken}, false),
+			appendFn(t, repo, root, "metabroken"+mode),
+			repo.Commit(probeSig, "repair meta", map[string]*string{kbuild.MetaPath: &good}, false),
+			appendFn(t, repo, root, "metarepaired"+mode),
+		}
+		tree, err := repo.CheckoutTree(seq[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.NewSession(tree); err == nil {
+			t.Fatalf("%s: a cold session over a broken manifest loaded", mode)
+		}
+
+		f, err := NewFollower(repo, base, Options{Checker: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []StepResult
+		if mode == "Run" {
+			err = f.Run(seq, func(r StepResult) bool {
+				got = append(got, r)
+				return true
+			})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		} else {
+			for _, id := range seq {
+				r, _ := f.Step(id)
+				got = append(got, r)
+			}
+		}
+		if len(got) != len(seq) {
+			t.Fatalf("%s: %d results for %d commits", mode, len(got), len(seq))
+		}
+		if got[0].Err == nil {
+			t.Errorf("%s: the manifest-breaking commit refreshed without error", mode)
+		}
+		if got[1].Err == nil || got[1].Report != nil {
+			t.Errorf("%s: probe over a broken manifest: err %v, report %v; want an error and no report",
+				mode, got[1].Err, got[1].Report != nil)
+		}
+		if got[2].Err != nil {
+			t.Errorf("%s: the repairing commit: %v", mode, got[2].Err)
+		}
+		requireIdentical(t, repo, got[3], opts)
 	}
 }
 

@@ -12,9 +12,14 @@
 //     translation units — built from a static include scan and enriched
 //     with the result cache's include-closure manifests, plus Kbuild-gate
 //     and Kconfig edges. It prices each commit's blast radius.
-//   - Follower (incr.go): applies commits to a live working tree,
-//     invalidates exactly the session state each commit's paths could
-//     affect (core.Session.Refresh), and re-checks with warm state.
+//   - Follower (incr.go): walks history in order, one commit at a time.
+//     Step, Run and jmaked's /follow share one plan (the commits to apply
+//     after the cursor, and the requested ones among them, which must
+//     strictly increase in history) and one per-commit routine: apply the
+//     commit to a live working tree, price its blast radius, update the
+//     index, invalidate exactly the session state its paths could affect
+//     (core.Session.Refresh), and re-check it with warm state, measuring
+//     its effective cost.
 //   - RunReactive (reactive.go): the benchmark harness replaying an
 //     N-commit stream and reporting per-commit virtual vs effective cost.
 package incr

@@ -4,9 +4,48 @@ import (
 	"fmt"
 
 	"jmake/internal/core"
-	"jmake/internal/eval"
 	"jmake/internal/vcs"
 )
+
+// ReactiveCommit is one replayed commit of a reactive benchmark stream.
+type ReactiveCommit struct {
+	Commit string `json:"commit"`
+	// Files counts the commit's checker-relevant files; Touched counts
+	// every path the commit changed.
+	Files   int `json:"files"`
+	Touched int `json:"touched"`
+	// Structural marks commits whose paths forced session invalidation
+	// (Kbuild metadata, arch/, Kconfig, Makefiles).
+	Structural bool `json:"structural"`
+	// InvalidatedTUs counts translation units whose transitive inputs the
+	// commit changed, per the reverse dependency index.
+	InvalidatedTUs int `json:"invalidated_tus"`
+	// VirtualSeconds is the report's full recompute price — byte-identical
+	// to a cold check, so it doubles as the cold-cost baseline.
+	VirtualSeconds float64 `json:"virtual_seconds"`
+	// EffectiveSeconds is the honest warm cost: VirtualSeconds minus what
+	// the session's warmth ledgers absorbed during this commit.
+	EffectiveSeconds float64 `json:"effective_seconds"`
+	// EffectiveRatio is EffectiveSeconds / VirtualSeconds (1 when the
+	// virtual cost is zero).
+	EffectiveRatio float64 `json:"effective_ratio"`
+}
+
+// ReactiveReport is the `reactive` section of BENCH_pipeline.json: a
+// follower replaying a commit stream against one warm session, showing
+// per-commit cost proportional to the diff rather than the tree.
+type ReactiveReport struct {
+	Commits               int     `json:"commits"`
+	TotalVirtualSeconds   float64 `json:"total_virtual_seconds"`
+	TotalEffectiveSeconds float64 `json:"total_effective_seconds"`
+	// SmallCommits counts the gate population: non-structural commits
+	// touching at most two relevant files, excluding the warm-up prefix;
+	// SmallCommitMeanRatio is their mean effective ratio — the number the
+	// <30% acceptance gate checks.
+	SmallCommits         int              `json:"small_commits"`
+	SmallCommitMeanRatio float64          `json:"small_commit_mean_ratio"`
+	PerCommit            []ReactiveCommit `json:"per_commit"`
+}
 
 // ReactiveParams configure a reactive benchmark replay.
 type ReactiveParams struct {
@@ -31,7 +70,7 @@ const smallCommitMaxFiles = 2
 // reports per-commit virtual (= cold) vs effective cost. The stream is
 // the evaluation window (v4.3..v4.4, modifying non-merges), seeded at the
 // first window commit like the evaluation itself.
-func RunReactive(repo *vcs.Repo, p ReactiveParams) (*eval.ReactiveReport, error) {
+func RunReactive(repo *vcs.Repo, p ReactiveParams) (*ReactiveReport, error) {
 	ids, err := repo.Between("v4.3", "v4.4", vcs.LogOptions{NoMerges: true, OnlyModify: true})
 	if err != nil {
 		return nil, fmt.Errorf("incr: %w", err)
@@ -53,11 +92,11 @@ func RunReactive(repo *vcs.Repo, p ReactiveParams) (*eval.ReactiveReport, error)
 		return nil, err
 	}
 
-	rep := &eval.ReactiveReport{}
+	rep := &ReactiveReport{}
 	var ratioSum float64
 	checked := 0
 	runErr := f.Run(stream, func(r StepResult) bool {
-		rc := eval.ReactiveCommit{
+		rc := ReactiveCommit{
 			Commit:           r.Commit,
 			Files:            r.Files,
 			Touched:          r.Touched,

@@ -233,7 +233,7 @@ func CheckPatchText(tree *Tree, patchText string, opts Options) (*Report, error)
 		return nil, fmt.Errorf("jmake: %w", err)
 	}
 	checker := session.Checker(snapshot, vclock.DefaultModel(uint64(len(patchText))), opts)
-	return checker.CheckPatch("patch", eval.RelevantDiffs(fds))
+	return checker.CheckPatch("patch", core.RelevantDiffs(fds))
 }
 
 // GenerateKernel builds the kernel-shaped source tree: 26 architectures,
@@ -276,7 +276,7 @@ func CheckCommit(repo *Repo, id string, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("jmake: %w", err)
 	}
-	report, _, _, err := eval.CheckCommit(session, repo, tree, id, opts, false)
+	report, _, _, err := session.CheckCommit(repo, tree, id, opts, false)
 	return report, err
 }
 
@@ -288,7 +288,7 @@ func CheckCommitWith(session *Session, repo *Repo, id string, opts Options) (*Re
 	if err != nil {
 		return nil, fmt.Errorf("jmake: %w", err)
 	}
-	report, _, _, err := eval.CheckCommit(session, repo, tree, id, opts, false)
+	report, _, _, err := session.CheckCommit(repo, tree, id, opts, false)
 	return report, err
 }
 
@@ -311,7 +311,7 @@ func CheckCommitTraced(session *Session, repo *Repo, id string, opts Options) (*
 	if err != nil {
 		return nil, nil, fmt.Errorf("jmake: %w", err)
 	}
-	report, span, _, err := eval.CheckCommit(session, repo, tree, id, opts, true)
+	report, span, _, err := session.CheckCommit(repo, tree, id, opts, true)
 	return report, span, err
 }
 
@@ -371,9 +371,9 @@ func CoverageRatio(report *Report) (covered, relevant int) {
 func Evaluate(p EvalParams) (*Run, error) { return eval.Execute(p) }
 
 // Incremental follower types (internal/incr): a long-lived session that
-// consumes a commit stream and re-checks each commit with cost
-// proportional to the diff, emitting reports byte-identical to
-// from-scratch checks.
+// consumes a commit stream in history order, one commit at a time, and
+// re-checks each commit with cost proportional to the diff, emitting
+// reports byte-identical to from-scratch checks.
 type (
 	// Follower is the incremental commit-stream checker.
 	Follower = incr.Follower
@@ -384,7 +384,7 @@ type (
 	// ReactiveParams configure the reactive benchmark replay.
 	ReactiveParams = incr.ReactiveParams
 	// ReactiveReport is the reactive section of BENCH_pipeline.json.
-	ReactiveReport = eval.ReactiveReport
+	ReactiveReport = incr.ReactiveReport
 )
 
 // NewFollower seeds an incremental follower at baseID: one full checkout
