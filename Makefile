@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet race lint lint-go fuzz bench-witness bench-workers bench-static bench-audit bench-checkout bench-setup bench bench-scaling cache-smoke trace-smoke daemon-smoke audit-smoke follow-smoke obs-smoke eval
+.PHONY: check build test vet race lint lint-go fuzz bench-witness bench-workers bench-static bench-audit bench-checkout bench-setup bench-resident bench bench-scaling cache-smoke trace-smoke daemon-smoke audit-smoke follow-smoke obs-smoke eval
 
 check: vet build test race lint lint-go fuzz cache-smoke trace-smoke daemon-smoke audit-smoke follow-smoke obs-smoke bench-scaling
 
@@ -16,8 +16,8 @@ test:
 # The second line repeats the copy-on-write tree's concurrency test, whose
 # goroutines clone, write and query trees that share leaves and file
 # versions, while their clones mark the source's leaves shared; the
-# third repeats the preprocessor's, whose goroutines expand the same cached
-# line tokens and predefined macro bodies.
+# third repeats the preprocessor's, whose goroutines read the same cached
+# records and expand the same #define and predefined macro bodies.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run TestConcurrentClones ./internal/fstree/
@@ -64,7 +64,9 @@ audit-smoke:
 # each file and with every version's memoized hash equal to a fresh
 # FNV-64a of its content, over trees that split and empty leaves,
 # the preprocessor must give the same result with and without its token
-# cache (and again through a warm one), the compiler front end must
+# cache (and again through a warm one), the token cache's record of a
+# content must hold every line, token and #define the line-splitting
+# reference scan gives, the compiler front end must
 # never panic, must scan .i text as a plain line split would and must
 # find the definitions a forward scan per call finds, the patch parser
 # must never panic, never return hunks without both paths and must
@@ -89,6 +91,7 @@ fuzz:
 	$(GO) test ./internal/kbuild/ -run '^$$' -fuzz FuzzParseMakefile -fuzztime 10s -fuzzminimizetime 10x
 	$(GO) test ./internal/fstree/ -run '^$$' -fuzz FuzzTreeOps -fuzztime 10s -fuzzminimizetime 10x
 	$(GO) test ./internal/cpp/ -run '^$$' -fuzz FuzzPreprocess -fuzztime 10s -fuzzminimizetime 10x
+	$(GO) test ./internal/cpp/ -run '^$$' -fuzz FuzzScan -fuzztime 10s -fuzzminimizetime 10x
 	$(GO) test ./internal/cc/ -run '^$$' -fuzz FuzzCompile -fuzztime 10s -fuzzminimizetime 10x
 	$(GO) test ./internal/textdiff/ -run '^$$' -fuzz FuzzParsePatch -fuzztime 10s -fuzzminimizetime 10x
 	$(GO) test ./internal/kconfig/ -run '^$$' -fuzz FuzzKconfigParse -fuzztime 10s -fuzzminimizetime 10x
@@ -121,6 +124,15 @@ bench-checkout:
 # five runs show the spread.
 bench-setup:
 	$(GO) test ./internal/cliopts/ -run '^$$' -bench BenchmarkWorkspaceBuild -benchmem -cpu 1 -count 5
+
+# Resident memory of a long follow in process: one follower stepped
+# through 1,000 window commits (tree scale 1.0, commit scale 0.3),
+# reporting the live heap after a forced GC (live-MB) and the GC share of
+# CPU over the stream (gc-cpu-share). perfbench's follow workload
+# re-seeds every pass, so it cannot see what a follower keeps per commit.
+# GOMAXPROCS 1 as in bench-audit; three runs show the spread.
+bench-resident:
+	$(GO) test ./internal/incr/ -run '^$$' -bench BenchmarkResidentFollow -benchtime 1x -cpu 1 -count 3
 
 # Patch-window throughput at 1/2/4/8 workers (speedup tracks CPU cores).
 bench-workers:

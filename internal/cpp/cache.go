@@ -6,23 +6,24 @@ import (
 	"jmake/internal/metrics"
 )
 
-// TokenCache memoizes the per-file scanning work (logical-line splitting
-// and tokenization) keyed by content identity — the content bytes alone,
-// never the path. Headers like the kernel's common includes are
-// preprocessed thousands of times across an evaluation with identical
-// content, frequently under *different* paths (the same header reached
-// via different include dirs, or identical files in sibling drivers);
-// all of them share one entry. Conditional evaluation and macro
-// expansion still run per inclusion (they depend on the macro state),
-// but the lexing does not.
+// TokenCache memoizes the per-file scanning work (translation phases 2
+// and 3, tokenization and #define parsing) keyed by content identity —
+// the content bytes alone, never the path. Headers like the kernel's
+// common includes are preprocessed thousands of times across an
+// evaluation with identical content, frequently under *different* paths
+// (the same header reached via different include dirs, or identical
+// files in sibling drivers); all of them share one entry. Conditional
+// evaluation and macro expansion still run per inclusion (they depend on
+// the macro state), but the lexing does not.
 //
-// Cached tokens are shared between preprocessor runs, concurrent ones
-// included, and nothing may write to them. Expansion never writes to its
-// input (see expandTokens); a #define's body keeps its line's tokens, and
-// nothing writes to a macro body (see Macro); hide sets are immutable and
-// shared, never updated in place (see hideSet); and each line's tokens
-// are a capacity-capped window of the file's one token array, so an
-// append to one line copies it instead of overwriting the next line.
+// An entry is one immutable record (scanned): the content's logical
+// lines as one string, plus line and token records that hold offsets
+// into it and no pointers, so a resident cache costs the collector
+// almost nothing to mark. A run builds the Tokens of one line at a time
+// from the records, into one buffer of its own that the next line
+// overwrites. Each #define is parsed once per content, and its Macro is
+// shared by every run that reaches the line; nothing writes to a Macro
+// (see Macro.Body).
 //
 // A TokenCache is safe for concurrent use. Each key is computed exactly
 // once: concurrent first requests for the same content elect one computer
@@ -32,7 +33,7 @@ import (
 // into shards addressed by key prefix so workers scanning different files
 // never contend on one mutex, and each bucket chains entries whose
 // content is verified on every lookup — an FNV-64 collision can therefore
-// never serve the wrong token stream; it only widens one bucket.
+// never serve the wrong record; it only widens one bucket.
 type TokenCache struct {
 	shards [tokenShards]tokenShard
 	// Predefined macro sets, elected per key exactly like file entries.
@@ -73,9 +74,8 @@ type cachedFile struct {
 	content string
 	// path records the first path the content was seen under — debug
 	// info only, never part of the key.
-	path  string
-	lines []logicalLine
-	toks  [][]Token
+	path string
+	s    *scanned
 }
 
 // NewTokenCache returns an empty cache counting into a private registry.
@@ -102,11 +102,11 @@ func (c *TokenCache) shardFor(key uint64) *tokenShard {
 	return &c.shards[key>>(64-4)] // top log2(tokenShards) bits
 }
 
-// scan returns the logical lines and per-line tokens for content, from the
-// cache when possible. key is fstree.Hash(content), the content alone, so
-// two paths holding identical bytes share one entry; path is carried as
-// debug information only.
-func (c *TokenCache) scan(path, content string, key uint64) ([]logicalLine, [][]Token) {
+// scan returns the scanned record of content, from the cache when
+// possible. key is fstree.Hash(content), the content alone, so two paths
+// holding identical bytes share one entry; path is carried as debug
+// information only.
+func (c *TokenCache) scan(path, content string, key uint64) *scanned {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	var e *cachedFile
@@ -125,34 +125,8 @@ func (c *TokenCache) scan(path, content string, key uint64) ([]logicalLine, [][]
 	}
 	sh.mu.Unlock()
 
-	e.once.Do(func() {
-		e.lines = logicalLines(content)
-		e.toks = lexLines(e.lines, len(content))
-	})
-	return e.lines, e.toks
-}
-
-// lexLines lexes every line into one exact-size token array and returns
-// each line's tokens as a capacity-capped sub-slice (all[i:j:j]), so an
-// append to one line can never write into the next. size is the length
-// of the content the lines came from; a quarter of it is the first guess
-// at the token count (source runs about four bytes per token).
-func lexLines(lines []logicalLine, size int) [][]Token {
-	ends := make([]int, len(lines))
-	all := make([]Token, 0, size/4+1)
-	for i, ll := range lines {
-		all = AppendLex(all, ll.text)
-		ends[i] = len(all)
-	}
-	exact := make([]Token, len(all))
-	copy(exact, all)
-	toks := make([][]Token, len(lines))
-	start := 0
-	for i, end := range ends {
-		toks[i] = exact[start:end:end]
-		start = end
-	}
-	return toks
+	e.once.Do(func() { e.s = scan(content) })
+	return e.s
 }
 
 // PredefinedFor returns the shared pre-lexed macro set for key, building

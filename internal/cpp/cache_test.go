@@ -11,7 +11,7 @@ import (
 
 // scanOf scans content under its fstree.Hash key, as Preprocess does over
 // a plain Source.
-func scanOf(c *TokenCache, path, content string) ([]logicalLine, [][]Token) {
+func scanOf(c *TokenCache, path, content string) *scanned {
 	return c.scan(path, content, fstree.Hash(content))
 }
 
@@ -61,8 +61,8 @@ func TestTokenCacheDedupesAcrossPaths(t *testing.T) {
 	c := NewTokenCache()
 	const content = "#define A 1\nint a = A;\n"
 
-	l1, t1 := scanOf(c, "include/linux/a.h", content)
-	l2, t2 := scanOf(c, "arch/x86/include/a_copy.h", content)
+	s1 := scanOf(c, "include/linux/a.h", content)
+	s2 := scanOf(c, "arch/x86/include/a_copy.h", content)
 
 	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
 		t.Fatalf("stats after two same-content scans = %d hits / %d misses, want 1/1", hits, misses)
@@ -70,9 +70,9 @@ func TestTokenCacheDedupesAcrossPaths(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("Len() = %d, want 1 shared entry", c.Len())
 	}
-	// Same entry, not merely equal: the memoized slices must be shared.
-	if &l1[0] != &l2[0] || &t1[0] != &t2[0] {
-		t.Fatalf("same-content scans returned distinct memoized slices")
+	// Same entry, not merely equal: the record itself must be shared.
+	if s1 != s2 {
+		t.Fatalf("same-content scans returned distinct records")
 	}
 
 	// Different content still misses.
@@ -93,22 +93,19 @@ func TestTokenCacheCollisionNeverServesWrongTokens(t *testing.T) {
 	imposterContent := "int imposter;\n"
 	key := fstree.Hash(want)
 
-	// Plant an imposter entry in want's bucket, pre-lexed from different
+	// Plant an imposter entry in want's bucket, scanned from different
 	// content, as if fstree.Hash(imposterContent) had collided with key.
 	imposter := &cachedFile{content: imposterContent, path: "imposter.h"}
-	imposter.once.Do(func() {
-		imposter.lines = logicalLines(imposterContent)
-		imposter.toks = [][]Token{Lex("int imposter ;")}
-	})
+	imposter.once.Do(func() { imposter.s = scan(imposterContent) })
 	sh := c.shardFor(key)
 	sh.entries[key] = append(sh.entries[key], imposter)
 
-	lines, toks := scanOf(c, "real.h", want)
-	if len(lines) != 1 || lines[0].text != "int real_content;" {
-		t.Fatalf("scan served wrong logical lines: %+v", lines)
+	s := scanOf(c, "real.h", want)
+	if len(s.lines) != 1 || s.lineText(&s.lines[0]) != "int real_content;" {
+		t.Fatalf("scan served wrong logical lines: %q", s.text)
 	}
-	if len(toks) != 1 || len(toks[0]) != 3 || toks[0][1].Text != "real_content" {
-		t.Fatalf("scan served wrong token stream: %+v", toks)
+	if toks := s.lineToks(&s.lines[0]); len(toks) != 3 || s.token(toks[1]).Text != "real_content" {
+		t.Fatalf("scan served wrong token records: %+v", toks)
 	}
 	// The real content was a miss (chain scan found no content match) and
 	// both entries now chain under one bucket.
@@ -120,9 +117,8 @@ func TestTokenCacheCollisionNeverServesWrongTokens(t *testing.T) {
 	}
 
 	// Re-scanning the real content hits its own entry, not the imposter's.
-	_, toks2 := scanOf(c, "real.h", want)
-	if toks2[0][1].Text != "real_content" {
-		t.Fatalf("re-scan served imposter tokens: %+v", toks2)
+	if s2 := scanOf(c, "real.h", want); s2 != s {
+		t.Fatalf("re-scan served another record: %q", s2.text)
 	}
 }
 
@@ -139,9 +135,9 @@ func TestTokenCacheConcurrentElection(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < distinct; k++ {
 				content := fmt.Sprintf("int v%d = %d;\n", k, k)
-				_, toks := scanOf(c, fmt.Sprintf("dir%d/f%d.h", g, k), content)
-				if len(toks) != 1 {
-					t.Errorf("scan(%d) returned %d token lines, want 1", k, len(toks))
+				s := scanOf(c, fmt.Sprintf("dir%d/f%d.h", g, k), content)
+				if len(s.lines) != 1 {
+					t.Errorf("scan(%d) returned %d lines, want 1", k, len(s.lines))
 				}
 			}
 		}(g)

@@ -90,8 +90,11 @@ type pp struct {
 	pre    *Predefined
 	macros map[string]*Macro
 
-	out        strings.Builder
-	scratch    []byte // reused by emitMarker
+	out     strings.Builder
+	scratch []byte // reused by emitMarker
+	// lineBuf holds the Tokens of the one line being expanded, written
+	// or evaluated (see lineTokens).
+	lineBuf    []Token
 	conds      []cond
 	includes   int
 	inputLines int
@@ -207,6 +210,15 @@ func (p *pp) emitLine(toks []Token) {
 	p.lastLine = p.curLine
 }
 
+// lineTokens returns the Tokens recs stand for in the run's one line
+// buffer, which the next call overwrites: the caller consumes them
+// before the next line, and anything that keeps tokens longer copies
+// them.
+func (p *pp) lineTokens(s *scanned, recs []tokRec) []Token {
+	p.lineBuf = s.tokens(p.lineBuf[:0], recs)
+	return p.lineBuf
+}
+
 func (p *pp) processFile(filePath string, depth int) error {
 	if depth > p.opts.MaxDepth {
 		return p.errf("#include nested too deeply (depth %d) at %s", depth, filePath)
@@ -214,6 +226,9 @@ func (p *pp) processFile(filePath string, depth int) error {
 	content, key, ok := p.readFile(filePath)
 	if !ok {
 		return p.errf("%s: no such file", filePath)
+	}
+	if len(content) > maxScanBytes {
+		return p.errf("%s: file too large (%d bytes)", filePath, len(content))
 	}
 	p.includes++
 	condBase := len(p.conds)
@@ -225,23 +240,19 @@ func (p *pp) processFile(filePath string, depth int) error {
 	}
 	p.emitMarker(1, filePath, flag)
 
-	var lines []logicalLine
-	var lineToks [][]Token
+	var s *scanned
 	if p.opts.Cache != nil {
-		lines, lineToks = p.opts.Cache.scan(filePath, content, key)
+		s = p.opts.Cache.scan(filePath, content, key)
 	} else {
-		lines = logicalLines(content)
+		s = scan(content)
 	}
-	for i, ll := range lines {
-		p.curLine = ll.startLine
+	for i := range s.lines {
+		ln := &s.lines[i]
+		p.curLine = int(ln.startLine)
 		p.inputLines++
-		var cached []Token
-		if lineToks != nil {
-			cached = lineToks[i]
-		}
-		trimmed := strings.TrimLeft(ll.text, " \t")
-		if strings.HasPrefix(trimmed, "#") {
-			if err := p.directive(trimmed, cached, depth); err != nil {
+		text := s.lineText(ln)
+		if name, rest, ok := directiveName(text); ok {
+			if err := p.directive(s, i, name, rest, depth); err != nil {
 				return err
 			}
 			continue
@@ -249,14 +260,10 @@ func (p *pp) processFile(filePath string, depth int) error {
 		if !p.active() {
 			continue
 		}
-		if strings.TrimSpace(ll.text) == "" {
+		if strings.TrimSpace(text) == "" {
 			continue // gcc collapses blank lines; markers resync
 		}
-		raw := cached
-		if lineToks == nil {
-			raw = Lex(ll.text)
-		}
-		toks, err := p.expandTokens(raw)
+		toks, err := p.expandTokens(p.lineTokens(s, s.lineToks(ln)))
 		if err != nil {
 			return err
 		}
@@ -273,26 +280,14 @@ func (p *pp) processFile(filePath string, depth int) error {
 	return nil
 }
 
-// directive handles one # line. trimmed starts with '#'. lineToks are the
-// line's tokens when the token cache supplied them, nil otherwise.
-func (p *pp) directive(trimmed string, lineToks []Token, depth int) error {
-	rest := strings.TrimLeft(trimmed[1:], " \t")
-	name := rest
-	if i := strings.IndexAny(rest, " \t"); i >= 0 {
-		name = rest[:i]
-		rest = strings.TrimLeft(rest[i:], " \t")
-	} else {
-		rest = ""
-	}
-	// operand returns the tokens of rest. When the cached tokens begin
-	// `#`, name, the rest of them are rest's tokens: lexing is
-	// left-to-right, so only the first one's WS flag can differ, and no
-	// directive reads that flag.
+// directive handles line i of s, a directive line: name is the
+// directive's name and rest the operand text after it.
+func (p *pp) directive(s *scanned, i int, name, rest string, depth int) error {
+	// operand returns the tokens after `#` and name (see directiveName) in
+	// the run's line buffer.
 	operand := func() []Token {
-		if len(lineToks) >= 2 && lineToks[0].Text == "#" && lineToks[1].Text == name {
-			return lineToks[2:]
-		}
-		return Lex(rest)
+		ln := &s.lines[i]
+		return p.lineTokens(s, s.toks[ln.tok+2:ln.tokEnd])
 	}
 
 	// Conditional directives are processed even in inactive regions, to
@@ -356,11 +351,11 @@ func (p *pp) directive(trimmed string, lineToks []Token, depth int) error {
 
 	switch name {
 	case "define":
-		m, err := parseDefine(operand())
-		if err != nil {
-			return p.errf("%v", err)
+		d := s.def(i)
+		if d.err != nil {
+			return p.errf("%v", d.err)
 		}
-		p.macros[m.Name] = m
+		p.macros[d.m.Name] = d.m
 	case "undef":
 		toks := operand()
 		if len(toks) == 0 || toks[0].Kind != KindIdent {

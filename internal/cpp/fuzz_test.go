@@ -16,10 +16,8 @@ var fuzzPredefined = NewPredefined(map[string]string{
 // FuzzPreprocess splits its input at the first NUL into a root file and
 // one header the root may include as "h.h" or <h.h>. A run through a
 // fresh TokenCache must equal a run without one, in every Result field
-// and the error text: an uncached run lexes every directive operand from
-// its text, a cached one reads the line's cached tokens. A second run
-// through the same cache must equal the first, so expansion never wrote
-// to the tokens the cache shares.
+// and the error text. A second run through the same cache must equal the
+// first, so no run wrote to the records or macros the cache shares.
 func FuzzPreprocess(f *testing.F) {
 	for _, s := range preprocessSeeds(f) {
 		f.Add(s)

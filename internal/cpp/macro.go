@@ -12,9 +12,11 @@ type Macro struct {
 	FuncLike bool
 	Params   []string
 	Variadic bool
-	// Body may alias immutable cached line tokens (parseDefine keeps the
-	// directive's tokens), so nothing writes to it: substitute copies body
-	// tokens into a fresh replacement.
+	// Body is shared: a #define's Macro is parsed once per content and
+	// held by the token cache's record and by every run that reaches the
+	// line, and a Predefined macro by every run seeded with its set. So
+	// nothing writes to a Macro once built: substitute copies body tokens
+	// into a fresh replacement.
 	Body []Token
 }
 
@@ -40,10 +42,11 @@ func (m *Macro) paramIndex(name string) int {
 // Nothing writes to ts, or to any slice reachable from it: the worklist
 // starts as a sub-slice of ts and only ever shrinks from the front, and a
 // replacement is pushed by appending the rest of the worklist into the
-// replacement's own array. Cached line tokens and predefined macro bodies
-// are shared by concurrent runs, so this is what makes sharing them safe.
-// When no token of ts can expand, expandTokens returns ts itself and
-// allocates nothing.
+// replacement's own array. Predefined and #define macro bodies are
+// shared by concurrent runs, and ts may be the run's line buffer, which
+// the next line overwrites; so the result never aliases a body, and it
+// aliases ts only when no token of ts can expand: expandTokens then
+// returns ts itself and allocates nothing.
 func (p *pp) expandTokens(ts []Token) ([]Token, error) {
 	first := p.firstExpandable(ts)
 	if first == len(ts) {
@@ -396,10 +399,9 @@ func parseDefine(ts []Token) (*Macro, error) {
 	bodyStart:
 		rest = rest[i:]
 	}
-	// The body keeps the directive's own tokens, cached line tokens
-	// included (see Macro). Its first token's WS is never read: substitute
-	// and pasteChain give the first output token the invocation's leading
-	// whitespace.
+	// The body keeps the directive's own tokens (see Macro). Its first
+	// token's WS is never read: substitute and pasteChain give the first
+	// output token the invocation's leading whitespace.
 	m.Body = rest
 	return m, nil
 }

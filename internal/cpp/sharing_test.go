@@ -35,8 +35,8 @@ func sharingFiles() map[string]string {
 }
 
 // Runs that share one TokenCache and one Predefined set must each produce
-// what a serial run without a cache produces. Expansion reads the shared
-// line tokens and macro bodies from every goroutine at once; a write to
+// what a serial run without a cache produces. Every goroutine reads the
+// shared records and expands the shared macro bodies at once; a write to
 // either shows up here as a wrong output, and under -race as a race.
 func TestConcurrentPreprocessSharesTokens(t *testing.T) {
 	files := mapSource(sharingFiles())

@@ -86,59 +86,70 @@ func Lex(s string) []Token { return AppendLex(nil, s) }
 // AppendLex appends the tokens of one logical line to dst, as Lex would
 // return them, and returns the extended slice.
 func AppendLex(dst []Token, s string) []Token {
-	i := 0
-	ws := false
-	n := len(s)
-	for i < n {
-		c := s[i]
-		if isSpace(c) {
-			ws = true
-			i++
-			continue
+	for i := 0; ; {
+		kind, start, end, ws := lexToken(s, i)
+		if kind == 0 {
+			return dst
 		}
-		start := i
-		var kind Kind
-		switch {
-		case isIdentStart(c):
-			kind = KindIdent
-			for i < n && isIdentCont(s[i]) {
-				i++
-			}
-		case isDigit(c) || (c == '.' && i+1 < n && isDigit(s[i+1])):
-			// pp-number: digits, identifier chars, '.', and exponent signs.
-			kind = KindNumber
-			i++
-			for i < n {
-				d := s[i]
-				if isIdentCont(d) || d == '.' {
-					i++
-					continue
-				}
-				if (d == '+' || d == '-') && (s[i-1] == 'e' || s[i-1] == 'E' || s[i-1] == 'p' || s[i-1] == 'P') {
-					i++
-					continue
-				}
-				break
-			}
-		case c == '"':
-			kind = KindString
-			i = scanLiteral(s, i, '"')
-		case c == '\'':
-			kind = KindChar
-			i = scanLiteral(s, i, '\'')
-		default:
-			if l := matchPunct(s[i:]); l > 0 {
-				kind = KindPunct
-				i += l
-			} else {
-				kind = KindOther
-				i++
-			}
-		}
-		dst = append(dst, Token{Kind: kind, Text: s[start:i], WS: ws})
-		ws = false
+		dst = append(dst, Token{Kind: kind, Text: s[start:end], WS: ws})
+		i = end
 	}
-	return dst
+}
+
+// lexToken is the one lexer step: it skips the whitespace at s[i:] and
+// returns the kind and bounds s[start:end] of the token after it, and
+// whether any whitespace was skipped. Kind 0 means s holds no token
+// after i. AppendLex builds Tokens from its results; the token cache
+// keeps them as offsets into the scanned text.
+func lexToken(s string, i int) (kind Kind, start, end int, ws bool) {
+	n := len(s)
+	for i < n && isSpace(s[i]) {
+		ws = true
+		i++
+	}
+	if i == n {
+		return 0, i, i, ws
+	}
+	start = i
+	c := s[i]
+	switch {
+	case isIdentStart(c):
+		kind = KindIdent
+		for i < n && isIdentCont(s[i]) {
+			i++
+		}
+	case isDigit(c) || (c == '.' && i+1 < n && isDigit(s[i+1])):
+		// pp-number: digits, identifier chars, '.', and exponent signs.
+		kind = KindNumber
+		i++
+		for i < n {
+			d := s[i]
+			if isIdentCont(d) || d == '.' {
+				i++
+				continue
+			}
+			if (d == '+' || d == '-') && (s[i-1] == 'e' || s[i-1] == 'E' || s[i-1] == 'p' || s[i-1] == 'P') {
+				i++
+				continue
+			}
+			break
+		}
+	case c == '"':
+		kind = KindString
+		i = scanLiteral(s, i, '"')
+	case c == '\'':
+		kind = KindChar
+		i = scanLiteral(s, i, '\'')
+	default:
+		if l := matchPunct(s[i:]); l > 0 {
+			kind = KindPunct
+			i += l
+		} else {
+			kind = KindOther
+			i++
+		}
+	}
+	return kind, start, i, ws
 }
 
 // scanLiteral scans a string or char literal starting at the opening quote

@@ -1034,9 +1034,9 @@ func (s *Server) handleFollow(w http.ResponseWriter, r *http.Request) {
 		s.followMu.Lock()
 		defer s.followMu.Unlock()
 
-		f, err := s.followerFor(req)
+		f, status, err := s.followerFor(req)
 		if err != nil {
-			c.fail(http.StatusNotFound, obs.OutcomeError, err.Error(), err.Error())
+			c.fail(status, obs.OutcomeError, err.Error(), err.Error())
 			return
 		}
 		s.followCtx.Store(&c.ctx)
@@ -1095,23 +1095,30 @@ func (s *Server) handleFollow(w http.ResponseWriter, r *http.Request) {
 // followerFor returns the resident follower when it can serve the
 // request warm (the stream is in history order after its cursor, same
 // checker options), otherwise reseeds one at the first commit's parent.
+// A stream no follower would serve from there, such as one out of
+// history order, is refused with 400 before anything is built, and the
+// resident follower stays. On error it returns the status to answer.
 // Caller holds followMu.
-func (s *Server) followerFor(req followRequest) (*jmake.Follower, error) {
+func (s *Server) followerFor(req followRequest) (*jmake.Follower, int, error) {
 	optsKey, err := json.Marshal(req.Options)
 	if err != nil {
-		return nil, err
+		return nil, http.StatusNotFound, err
 	}
 	if s.follower != nil && !req.Reseed && s.followerOpts == string(optsKey) &&
 		s.follower.Serves(req.Commits) {
 		s.reg.Counter("daemon_follow_continues").Inc()
-		return s.follower, nil
+		return s.follower, 0, nil
 	}
-	base, err := s.built.Hist.Repo.Parent(req.Commits[0])
+	repo := s.built.Hist.Repo
+	base, err := repo.Parent(req.Commits[0])
 	if err != nil {
-		return nil, err
+		return nil, http.StatusNotFound, err
 	}
 	if base == "" {
-		return nil, fmt.Errorf("commit %s has no parent to seed a follower from", req.Commits[0])
+		return nil, http.StatusNotFound, fmt.Errorf("commit %s has no parent to seed a follower from", req.Commits[0])
+	}
+	if err := jmake.CheckFollowStream(repo, base, req.Commits); err != nil {
+		return nil, http.StatusBadRequest, fmt.Errorf("stream out of history order from %s, the parent of %s: %w", base, req.Commits[0], err)
 	}
 	opts := req.Options.Options()
 	if opts.Interrupt == nil {
@@ -1122,13 +1129,13 @@ func (s *Server) followerFor(req followRequest) (*jmake.Follower, error) {
 			return false
 		}
 	}
-	f, err := jmake.NewFollower(s.built.Hist.Repo, base, jmake.FollowOptions{Checker: opts})
+	f, err := jmake.NewFollower(repo, base, jmake.FollowOptions{Checker: opts})
 	if err != nil {
-		return nil, err
+		return nil, http.StatusNotFound, err
 	}
 	s.follower, s.followerOpts = f, string(optsKey)
 	s.reg.Counter("daemon_follow_seeds").Inc()
-	return f, nil
+	return f, 0, nil
 }
 
 // followEntryFor renders one follower step as a stream entry.

@@ -692,6 +692,52 @@ func TestFollowStream(t *testing.T) {
 	}
 }
 
+// TestFollowRefusesOutOfOrderStream: a stream out of history order is
+// refused with 400 before any follower is built, and the resident
+// follower keeps its cursor, so the next in-order stream continues warm.
+func TestFollowRefusesOutOfOrderStream(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	ids := windowTail(s, 5)
+	if len(ids) < 5 {
+		t.Fatalf("window too small: %d commits", len(ids))
+	}
+	postFollow(t, ts, followRequest{Commits: ids[:2]})
+
+	data, err := json.Marshal(followRequest{Commits: []string{ids[4], ids[3]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/follow", "application/json", bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("POST /follow: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("out-of-order stream: status %d, want 400: %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "is not after follower cursor") {
+		t.Errorf("refusal does not carry the stream plan's message: %s", body)
+	}
+	if n := counterValue(s.Metrics(), "daemon_follow_seeds"); n != 1 {
+		t.Errorf("daemon_follow_seeds = %d after the refusal, want 1", n)
+	}
+	if n := counterValue(s.Metrics(), "daemon_follower_discards"); n != 0 {
+		t.Errorf("daemon_follower_discards = %d after the refusal, want 0", n)
+	}
+
+	_, entries := postFollow(t, ts, followRequest{Commits: ids[2:3]})
+	if len(entries) != 1 || entries[0].Commit != ids[2] || entries[0].Error != "" {
+		t.Fatalf("in-order stream after the refusal: %+v", entries)
+	}
+	if n := counterValue(s.Metrics(), "daemon_follow_continues"); n != 1 {
+		t.Errorf("daemon_follow_continues = %d, want 1 (the resident follower continued)", n)
+	}
+	if n := counterValue(s.Metrics(), "daemon_follow_seeds"); n != 1 {
+		t.Errorf("daemon_follow_seeds = %d after continuing, want 1", n)
+	}
+}
+
 // TestFollowDeadline: a stream that cannot finish within its deadline
 // labels the unfinished tail honestly — an error (with partial report
 // where one exists) for every commit the deadline caught, no silently

@@ -84,24 +84,32 @@ func (f *Follower) Session() *core.Session { return f.sess }
 
 // Serves reports whether Run would accept ids from the current cursor.
 func (f *Follower) Serves(ids []string) bool {
-	_, err := f.plan(ids)
-	return err == nil
+	return CheckStream(f.repo, f.cursor, ids) == nil
 }
 
-// plan returns the commits the follower applies to serve ids: every
-// commit after the cursor up to the last ID, oldest first. The stream the
-// caller checks may skip merges and empty diffs, but the follower applies
-// all of them to keep tree and session in sync. The commits to check are
-// ids themselves, which must lie in that range in strictly increasing
-// history order; any other stream is refused before anything is applied.
-func (f *Follower) plan(ids []string) ([]string, error) {
+// CheckStream returns the error Run would refuse ids with from a follower
+// whose cursor is base, or nil when it would follow them. A caller can
+// check a stream before paying for a follower to seed at base.
+func CheckStream(repo *vcs.Repo, base string, ids []string) error {
+	_, err := plan(repo, base, ids)
+	return err
+}
+
+// plan returns the commits a follower whose cursor is cursor applies to
+// serve ids: every commit after the cursor up to the last ID, oldest
+// first. The stream the caller checks may skip merges and empty diffs,
+// but the follower applies all of them to keep tree and session in sync.
+// The commits to check are ids themselves, which must lie in that range
+// in strictly increasing history order; any other stream is refused
+// before anything is applied.
+func plan(repo *vcs.Repo, cursor string, ids []string) ([]string, error) {
 	if len(ids) == 0 {
 		return nil, nil
 	}
 	last := ids[len(ids)-1]
-	seq, err := f.repo.Range(f.cursor, last)
+	seq, err := repo.Range(cursor, last)
 	if err != nil || len(seq) == 0 {
-		return nil, fmt.Errorf("incr: commit %s is not after follower cursor %s", last, f.cursor)
+		return nil, fmt.Errorf("incr: commit %s is not after follower cursor %s", last, cursor)
 	}
 	next := 0
 	for _, cid := range seq {
@@ -111,7 +119,7 @@ func (f *Follower) plan(ids []string) ([]string, error) {
 			}
 		}
 	}
-	prev := f.cursor
+	prev := cursor
 	if next > 0 {
 		prev = ids[next-1]
 	}
@@ -169,7 +177,7 @@ func (f *Follower) advance(cid string, check bool) StepResult {
 // refreshed but not checked; if one fails to refresh, Step stops there
 // and returns that commit's result.
 func (f *Follower) Step(id string) (StepResult, error) {
-	seq, err := f.plan([]string{id})
+	seq, err := plan(f.repo, f.cursor, []string{id})
 	if err != nil {
 		return StepResult{Commit: id, Err: err}, err
 	}
@@ -190,7 +198,7 @@ func (f *Follower) Step(id string) (StepResult, error) {
 // the cursor, and stops with an error when an intermediate commit fails to
 // refresh. emit returning false stops the stream early.
 func (f *Follower) Run(ids []string, emit func(StepResult) bool) error {
-	seq, err := f.plan(ids)
+	seq, err := plan(f.repo, f.cursor, ids)
 	if err != nil {
 		return err
 	}

@@ -394,6 +394,12 @@ func NewFollower(repo *Repo, baseID string, opts FollowOptions) (*Follower, erro
 	return incr.NewFollower(repo, baseID, opts)
 }
 
+// CheckFollowStream returns the error a follower seeded at baseID would
+// refuse ids with, or nil when it would follow them, without seeding one.
+func CheckFollowStream(repo *Repo, baseID string, ids []string) error {
+	return incr.CheckStream(repo, baseID, ids)
+}
+
 // RunReactive replays the evaluation window's commit stream against one
 // warm follower and reports per-commit virtual (= cold) vs effective
 // cost (cmd/jmake-bench -reactive).
